@@ -8,12 +8,14 @@ Usage (from the repository root):
 
 One run measures one workload in this (fresh) interpreter, importing lomlab
 from ``src/`` next to this directory.  It repeats the workload's timed pass
-until the next pass would end after ``--seconds``, checks every output, and
-prints two JSON lines: a detailed report (inputs, machine facts, samples,
-checks, trace) and, last, the result ``{"correct", "attempted", "failed",
-"metrics"}``.  With ``--trace 0`` the metrics are the end-to-end ones; with
-``--trace 1`` one more pass runs with spans around lomlab's layer boundaries
-and the metrics are the per-layer ones.  See README.md in this directory.
+until the next pass would end after ``--seconds``, times each library call of
+a pass against a fixed reference computation (see speed.py), checks every
+output, and prints two JSON lines: a detailed report (inputs, machine facts,
+samples, checks, trace) and, last, the result ``{"correct", "attempted",
+"failed", "metrics"}``.  With ``--trace 0`` the metrics are the end-to-end
+ones; with ``--trace 1`` one more pass runs with spans around lomlab's layer
+boundaries and the metrics are the per-layer ones.  See README.md in this
+directory.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 
-SETUP_PROBES = 7        # fresh interpreters per run; setup_s is their median
+SETUP_PROBES = 11       # fresh interpreters per run; setup_s is their median
 SETUP_PROBES_QUICK = 2
 PROBE_TIMEOUT_S = 60
 
@@ -44,6 +46,8 @@ LIMITS = [
     "peak_rss_mb covers only this process and its own children (set-up probes, pool workers)",
     "numba is absent: lomlab._fast never runs, every count takes the numpy path",
     "pool spans cover the parent side only: workers fork after the wrappers are installed",
+    "norm_* metrics assume a workload and its speed reference (speed.py) slow down alike "
+    "under the host's contention; wall_s in the report is the raw time",
     "count-scan memory: at (7,20,2) the block is 125970 circuits x 8192 x 4 B = 4.1 GB and "
     "the process was killed on an 8 GB machine; (5,20,1) took 82 s. Not a workload: "
     "sign_core.block_bytes and peak_rss_mb on fcount-large show the growth at the sizes run",
@@ -59,6 +63,26 @@ def import_lomlab():
     import lomlab
 
     return lomlab
+
+
+def timed_pass(wl, p: int, probe) -> tuple[dict, list]:
+    """Run pass ``p`` call by call under the speed probe (see speed.py).
+
+    Returns the pass's net and normalised seconds, with each call's net
+    seconds and in-call reference runs, and the calls' outputs."""
+    from workloads import attempt
+
+    sample = {"key": wl.pass_key(p), "raw_s": 0.0, "norm_s": 0.0, "calls_s": {}, "ref_runs": 0}
+    outputs = []
+    for label, call in wl.pass_steps(p):
+        out, net, norm, runs = probe.time_call(lambda: attempt(call), wl.in_process)
+        sample["raw_s"] += net
+        sample["norm_s"] += norm
+        sample["calls_s"][label] = net
+        sample["ref_runs"] += runs
+        outputs.append((label, out))
+    sample["ref_s"] = probe.latest
+    return sample, outputs
 
 
 def clear_lomlab_caches() -> None:
@@ -195,6 +219,7 @@ def main(argv=None) -> int:
 
     import_lomlab()
     sys.path.insert(0, str(HERE))
+    import speed
     import workloads
     from tracing import Tracer
 
@@ -213,18 +238,21 @@ def main(argv=None) -> int:
         for text in errors:
             ledger.error("set-up probe", text)
 
-    samples: list[tuple[int, float]] = []
+    samples: list[dict] = []
     tracer = None
     try:
         ledger.record(wl.prepare())
+        probe = speed.SpeedProbe(wl.speed_reference)
+        probe.burst()  # warm-up: the first runs are slower
+        probe.burst()
         start = time.perf_counter()
         p = 0
         while True:
             clear_lomlab_caches()
             t0 = time.perf_counter()
-            outputs = wl.run_pass(p)
+            sample, outputs = timed_pass(wl, p, probe)
             dt = time.perf_counter() - t0
-            samples.append((wl.pass_key(p), dt))
+            samples.append(sample)
             ledger.record(outputs)
             p += 1
             if time.perf_counter() - start + dt > args.seconds:
@@ -236,7 +264,8 @@ def main(argv=None) -> int:
             try:
                 t0 = time.perf_counter()
                 with tracer.span("bench.pass"):
-                    outputs = wl.run_pass(0)
+                    outputs = [(label, workloads.attempt(call))
+                               for label, call in wl.pass_steps(0)]
                 traced_s = time.perf_counter() - t0
             finally:
                 tracer.uninstall()
@@ -245,8 +274,9 @@ def main(argv=None) -> int:
     finally:
         wl.cleanup()
 
-    walls = [dt for _, dt in samples]
+    walls = [s["raw_s"] for s in samples]
     wall = percentile_summary(walls)
+    norm_wall = percentile_summary([s["norm_s"] for s in samples])
     detail = {
         "workload": args.workload,
         "seed": args.seed,
@@ -256,7 +286,12 @@ def main(argv=None) -> int:
         "machine": machine,
         "limits": LIMITS,
         "wall_s": wall,
-        "wall_samples_s": walls,
+        "norm_wall_s": norm_wall,
+        "reference": {"name": wl.speed_reference,
+                      "nominal_s": speed.REFERENCES[wl.speed_reference][1],
+                      "burst": speed.REF_BURST, "interval_s": speed.REF_INTERVAL_S,
+                      "in_calls": wl.in_process},
+        "pass_samples": samples,
         "setup_samples_s": setup_samples,
         "extra": wl.extra(),
         "attempted": ledger.attempted,
@@ -265,7 +300,7 @@ def main(argv=None) -> int:
         "failures": ledger.failures,
     }
     if args.trace:
-        untraced = statistics.median(dt for key, dt in samples if key == wl.pass_key(0))
+        untraced = statistics.median(s["raw_s"] for s in samples if s["key"] == wl.pass_key(0))
         layers = tracer.layers()
         metrics = layer_metrics(tracer, layers, wl, untraced, traced_s)
         core = sum(
@@ -290,8 +325,8 @@ def main(argv=None) -> int:
         detail["peak_rss_self_mb"] = rss_self_kb / 1024
         detail["peak_rss_children_mb"] = rss_children_kb / 1024
         metrics = {
-            "wall_s": (wall["median"], "s"),
-            "classes_per_s": (wl.classes_per_pass / wall["median"], "1/s"),
+            "norm_wall_s": (norm_wall["median"], "s"),
+            "norm_classes_per_s": (wl.classes_per_pass / norm_wall["median"], "1/s"),
             "setup_s": (statistics.median(setup_samples) if setup_samples else 0.0, "s"),
             "peak_rss_mb": ((rss_self_kb + rss_children_kb) / 1024, "MB"),
         }

@@ -6,7 +6,10 @@
 import json
 import os
 import shutil
+import statistics
 import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,9 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in SPEC["workloads"]]
+
+sys.path.insert(0, str(HERE))
+import speed  # noqa: E402
 
 
 def bench(cwd: Path, *args: str) -> subprocess.CompletedProcess:
@@ -99,3 +105,20 @@ def test_refuses_to_run_without_the_sources(tmp_path):
                  "--trace", "0")
     assert proc.returncode != 0
     assert proc.stdout.strip() == ""
+
+
+def test_speed_probe_takes_its_reference_runs_out_of_the_call():
+    probe = speed.SpeedProbe("small")
+    probe.burst()
+    t0 = time.perf_counter()
+    out, net, norm, runs = probe.time_call(lambda: time.sleep(0.8) or "done", True)
+    elapsed = time.perf_counter() - t0
+    assert out == "done" and runs == len(probe.samples) >= 2
+    assert probe.spent == sum(probe.samples)
+    assert 0 <= elapsed - (net + probe.spent) < 0.01
+    assert probe.latest == statistics.median(probe.samples)
+    assert norm == net * probe.nominal_s / probe.latest
+    before = probe.latest
+    _, net, norm, runs = probe.time_call(lambda: time.sleep(0.3), False)
+    assert runs == 0 and 0.3 <= net < 0.35
+    assert norm == net * probe.nominal_s / ((before + probe.latest) / 2)

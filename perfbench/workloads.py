@@ -1,11 +1,12 @@
 """The benchmark's workloads: inputs drawn from a seed, a timed pass, checks.
 
 Each workload drives the public lomlab API the way a user (or ``lomlab``'s
-CLI) does.  ``run_pass`` is the timed body; it returns one ``(label, output)``
-per library call, where an exception is kept as the output, and ``check``
-turns each output into a list of problems (empty means correct).  Work done
-outside the timed region (reference surveys, rechecks by the chirotope engine)
-goes through ``prepare`` and ``post`` and is checked the same way.
+CLI) does.  ``pass_steps`` is the timed body: one ``(label, call)`` per
+library call of a pass, which run.py times one by one and whose output (or
+exception) it keeps, and ``check`` turns each output into a list of problems
+(empty means correct).  Work done outside the timed region (reference
+surveys, rechecks by the chirotope engine) goes through ``prepare`` and
+``post`` and is checked the same way.
 
 ``lomlab`` is imported inside the methods, so that the set-up probe can time
 ``import lomlab`` itself.
@@ -105,6 +106,8 @@ def survey_problems(res, classes: int, c: int, exact: bool, c_source=None,
 
 class Workload:
     name = ""
+    in_process = True  # False: the timed calls start worker processes
+    speed_reference = "small"  # the speed.py reference most like this workload's work
 
     def __init__(self, seed: int, shapes: Shapes, workdir: Path):
         self.seed = seed
@@ -123,7 +126,8 @@ class Workload:
     def prepare(self) -> list[tuple[str, object]]:
         return []
 
-    def run_pass(self, p: int) -> list[tuple[str, object]]:
+    def pass_steps(self, p: int) -> list[tuple[str, object]]:
+        """The timed calls of pass ``p``, as ``(label, zero-argument callable)``."""
         raise NotImplementedError
 
     def pass_key(self, p: int) -> int:
@@ -190,12 +194,13 @@ class SurveySerial(Workload):
         _warm_survey(self.shapes.survey)
         _warm_survey(self.shapes.slice)
 
-    def run_pass(self, p):
+    def pass_steps(self, p):
         from lomlab import SurveyConfig, run_survey
 
         return [
-            ("full", attempt(run_survey, SurveyConfig(*self.shapes.survey))),
-            ("slice", attempt(run_survey, SurveyConfig(*self.shapes.slice, index_range=(self.lo, self.hi)))),
+            ("full", lambda: run_survey(SurveyConfig(*self.shapes.survey))),
+            ("slice", lambda: run_survey(
+                SurveyConfig(*self.shapes.slice, index_range=(self.lo, self.hi)))),
         ]
 
     def check(self, label, res):
@@ -232,6 +237,7 @@ def _recheck(shape, index):
 
 class SurveyPoolCheckpoint(Workload):
     name = "survey-pool-checkpoint"
+    in_process = False
 
     def __init__(self, seed, shapes, workdir):
         super().__init__(seed, shapes, workdir)
@@ -241,7 +247,6 @@ class SurveyPoolCheckpoint(Workload):
         self.checkpoint = workdir / f"checkpoint-{os.getpid()}.json"
         self.reference = None
         self.reference_s = None
-        self.split = []  # (first pass s, resume pass s) per timed pass
 
     def inputs(self) -> dict:
         return {
@@ -273,16 +278,14 @@ class SurveyPoolCheckpoint(Workload):
             self.reference = stable_json(res)
         return [("serial reference", res)]
 
-    def run_pass(self, p):
+    def pass_steps(self, p):
         from lomlab import run_survey
 
-        self.checkpoint.unlink(missing_ok=True)
-        t0 = time.perf_counter()
-        first = attempt(run_survey, self._config())
-        t1 = time.perf_counter()
-        resume = attempt(run_survey, self._config())
-        self.split.append((t1 - t0, time.perf_counter() - t1))
-        return [("pool", first), ("resume", resume)]
+        def first():
+            self.checkpoint.unlink(missing_ok=True)
+            return run_survey(self._config())
+
+        return [("pool", first), ("resume", lambda: run_survey(self._config()))]
 
     def check(self, label, res):
         if label == "serial reference":
@@ -298,15 +301,12 @@ class SurveyPoolCheckpoint(Workload):
         self.checkpoint.with_name(self.checkpoint.name + ".tmp").unlink(missing_ok=True)
 
     def extra(self) -> dict:
-        return {
-            "serial_reference_s": self.reference_s,
-            "pool_pass_s": [a for a, _ in self.split],
-            "resume_pass_s": [b for _, b in self.split],
-        }
+        return {"serial_reference_s": self.reference_s}
 
 
 class FcountLarge(Workload):
     name = "fcount-large"
+    speed_reference = "large"
 
     def __init__(self, seed, shapes, workdir):
         super().__init__(seed, shapes, workdir)
@@ -332,17 +332,20 @@ class FcountLarge(Workload):
             sign_core._mask_context(r, n)
             sign_core._half_reorientation_masks(n)
 
-    def run_pass(self, p):
+    def pass_steps(self, p):
         from lomlab import (
             alternating_matrix, count_k_neighborly_reorientations, reorient_columns,
             reorient_rows,
         )
 
-        out = []
-        for (r, n, k), (cols, rows) in zip(self.shapes.fcount, self.flips):
+        def fcount(r, n, k, cols, rows):
             A = reorient_rows(reorient_columns(alternating_matrix(r, n), cols), rows)
-            out.append((f"fcount {r},{n},{k}", attempt(count_k_neighborly_reorientations, A, k)))
-        return out
+            return count_k_neighborly_reorientations(A, k)
+
+        return [
+            (f"fcount {r},{n},{k}", lambda r=r, n=n, k=k, f=f: fcount(r, n, k, *f))
+            for (r, n, k), f in zip(self.shapes.fcount, self.flips)
+        ]
 
     def check(self, label, f):
         from lomlab import c_closed_form
@@ -383,16 +386,17 @@ class CrosscheckTravels(Workload):
         sign_core._mask_context(r, n)
         sign_core._half_reorientation_masks(n)
 
-    def run_pass(self, p):
+    def pass_steps(self, p):
         from lomlab import engine_crosscheck
 
-        report = attempt(
-            engine_crosscheck, *self.shapes.crosscheck,
-            self.shapes.crosscheck_samples, self.sample_seed(p),
-        )
-        if not isinstance(report, Failed):
+        def crosscheck():
+            report = engine_crosscheck(
+                *self.shapes.crosscheck, self.shapes.crosscheck_samples, self.sample_seed(p),
+            )
             self.sampled[p] = report.indices
-        return [("crosscheck", report)]
+            return report
+
+        return [("crosscheck", crosscheck)]
 
     def check(self, label, report):
         problems = []
