@@ -95,18 +95,33 @@ def class_count(r: int, n: int) -> int:
     return 1 << ((n - r - 1) * (r - 1))
 
 
-def _representative_entries(r: int, n: int, index: int) -> np.ndarray:
-    """Canonical matrix of a class index as an int8 array (shared fill logic)."""
-    sigma = np.ones((r - 1, n - 1), dtype=np.int8)
-    for bit, (i, j) in enumerate(relevant_squares(r, n)):
-        if (index >> bit) & 1:
-            sigma[i - 1, j - 1] = -1
-    A = np.ones((r, n), dtype=np.int8)
+def representative_entries(r: int, n: int, indices) -> np.ndarray:
+    """Canonical matrices of a batch of class indices as a (B, r, n) int8 array.
+
+    The only fill logic: ``representative_of_index`` and the survey both
+    build their matrices here.  Indices are not range-checked.  The result is
+    a view of an (r, n, B) array, so that each entry's values over the batch
+    are contiguous for the batched counting in ``sign_core``.
+    """
+    squares = relevant_squares(r, n)
+    # class indices past 62 bits stay Python integers so that no bit is lost
+    idx = np.asarray(indices, dtype=np.int64 if len(squares) < 63 else object).reshape(-1)
+    sigma = np.ones((r - 1, n - 1, idx.shape[0]), dtype=np.int8)
+    if squares:
+        bits = (idx >> np.arange(len(squares)).astype(idx.dtype)[:, None]) & 1
+        rows, cols = np.array(squares).T - 1
+        sigma[rows, cols] = 1 - 2 * bits.astype(np.int8)
+    A = np.ones((r, n, idx.shape[0]), dtype=np.int8)
     for i in range(r - 1):
         # a[i+1][j+1] = sigma(i,j) * a[i][j] * a[i][j+1] * a[i+1][j], row-major
         steps = sigma[i] * A[i, :-1] * A[i, 1:]
-        A[i + 1, 1:] = np.cumprod(steps, dtype=np.int8)
-    return A
+        np.cumprod(steps, axis=0, dtype=np.int8, out=A[i + 1, 1:])
+    return A.transpose(2, 0, 1)
+
+
+def _representative_entries(r: int, n: int, index: int) -> np.ndarray:
+    """Canonical matrix of one class index as an (r, n) int8 array."""
+    return representative_entries(r, n, [index])[0]
 
 
 def representative_of_index(r: int, n: int, index: int) -> SignMatrix:

@@ -405,6 +405,97 @@ def _count_from_masks(
     return 2 * int(np.count_nonzero(levels >= k + 1))
 
 
+# ---------------------------------------------------------------------------
+# violation-table engine (many matrices of one shape at once)
+#
+# Whether a half-mask R violates the circuit on support S depends only on the
+# bits of R on S and on the circuit's sign pattern: the signs at j_2..j_{r+1},
+# the sign at j_1 being +1.  Pattern p has bit i-1 set when the sign at
+# j_{i+1} is +1.  table[c, p] is the set of half-masks that violate support c
+# under pattern p, one bit per half-mask packed into uint64 words, so a
+# matrix's violators are the OR of one row per support.  Every half-mask
+# outside that union is k-neighborly, which gives f = 2 (2^(n-1) - |union|).
+# ---------------------------------------------------------------------------
+
+_BLOCK_BYTES = 128 << 10  # union of table rows built by one violation_counts call
+
+
+def violation_table_nbytes(r: int, n: int) -> int:
+    """Size of violation_table(r, n, k): C(n, r+1) x 2^r rows of 2^(n-1) bits."""
+    return comb(n, r + 1) * (1 << r) * max(8, (1 << (n - 1)) // 8)
+
+
+def violation_table(r: int, n: int, k: int) -> np.ndarray:
+    """(C(n, r+1), 2^r, words) uint64 bitsets of violating half-masks.
+
+    Half-mask t (reorientation t << 1) is bit t; words run past 2^(n-1)
+    bits only when n < 7, and those padding bits are zero.  Built one support
+    and one bounded group of patterns at a time.
+    """
+    _require_countable(r, n)
+    if r > 14:
+        raise ValueError(f"violation tables index patterns with int16, so r <= 14; got r={r}")
+    ctx = _mask_context(r, n)
+    size = r + 1
+    half = 1 << (n - 1)
+    local = np.arange(1 << size)
+    ones = np.bitwise_count(local)
+    violates = (ones <= k) | (ones >= size - k)
+    # positive elements of pattern p as local bits on the support
+    positive = (np.arange(1 << r, dtype=np.int16) << 1) | 1
+    step = max(1, (_BLOCK_BYTES << 3) // half)
+    table = np.zeros((ctx.supports.shape[0], 1 << r, max(1, half // 64)), dtype=np.uint64)
+    as_bytes = table.view(np.uint8)
+    t = np.arange(half, dtype=np.int64)
+    for c, support in enumerate(ctx.supports):
+        # the bits of every half-mask on this support; element 1 never flips
+        on_support = np.zeros(half, dtype=np.int16)
+        for i, col in enumerate(support):
+            if col:
+                on_support |= ((t >> (col - 1)) & 1).astype(np.int16) << i
+        for p in range(0, 1 << r, step):
+            bits = violates[positive[p : p + step, None] ^ on_support]
+            packed = np.packbits(bits, axis=1, bitorder="little")
+            as_bytes[c, p : p + step, : packed.shape[1]] = packed
+    return table
+
+
+def violation_block_size(table: np.ndarray) -> int:
+    """Matrices per violation_counts call that keep its row union under a fixed cap."""
+    return max(1, _BLOCK_BYTES // (table.shape[2] * table.itemsize))
+
+
+def violation_counts(
+    table: np.ndarray, entries: np.ndarray, ctx: _MaskContext
+) -> np.ndarray:
+    """k-neighborly reorientation count of each (B, r, n) int8 sign matrix.
+
+    Fastest on the layout ``chessboard.representative_entries`` returns,
+    where the batch axis is the contiguous one.
+    """
+    r, n = ctx.rank, ctx.ground_size
+    dtype = np.uint8 if r <= 8 else np.uint16
+    # With all entries +1 the circuit signs alternate +,-,+,...  A -1 that
+    # step i reads (row i, at j_{i+1} or j_{i+2}) flips the signs at
+    # j_{i+2}..j_{r+1}, which are pattern bits i..r-1.
+    base = sum(1 << (m - 1) for m in range(2, r + 1, 2))
+    tails = ((1 << r) - (1 << np.arange(r))).astype(dtype)
+    by_entry = entries.transpose(1, 2, 0)
+    flips = np.where(by_entry < 0, tails[:, None, None], dtype(0)).reshape(r * n, -1)
+    patterns = np.full((ctx.supports.shape[0], flips.shape[1]), base, dtype=dtype)
+    rows_at = np.arange(r) * n
+    for ends in (ctx.supports[:, :-1], ctx.supports[:, 1:]):
+        for index in (rows_at + ends).T:  # row i at one end of step i
+            patterns ^= flips[index]
+    union = table[0].take(patterns[0], axis=0)
+    rows = np.empty_like(union)
+    for c in range(1, table.shape[0]):
+        table[c].take(patterns[c], axis=0, out=rows)
+        union |= rows
+    violators = np.bitwise_count(union).sum(axis=1, dtype=np.int64)
+    return 2 * ((1 << (n - 1)) - violators)
+
+
 def _require_countable(r: int, n: int) -> None:
     if n < r + 1:
         raise ValueError(f"counting requires n >= r+1 (no circuits at r={r}, n={n})")

@@ -27,11 +27,14 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import _fast, formulas, sign_core, travels
+import numpy as np
+
+from . import formulas, sign_core, travels
 from .chessboard import (
     ENCODING_VERSION,
     _representative_entries,
     class_count,
+    representative_entries,
     representative_of_index,
 )
 from .formulas import CValue
@@ -42,6 +45,7 @@ __all__ = [
     "SurveyResult",
     "Checkpoint",
     "CheckpointMismatchError",
+    "CorruptCheckpointError",
     "EngineMismatchError",
     "run_survey",
     "PRESETS",
@@ -52,10 +56,16 @@ __all__ = [
 
 DEFAULT_CHUNK_SIZE = 4096
 ENGINES = ("circuits", "travels")
+# Largest violation table a survey builds; bigger shapes count class by class.
+TABLE_MAX_BYTES = 256 << 20
 
 
 class CheckpointMismatchError(RuntimeError):
     """Raised when a checkpoint was written for a different survey setup."""
+
+
+class CorruptCheckpointError(RuntimeError):
+    """Raised when a checkpoint file is unreadable or contradicts itself."""
 
 
 class EngineMismatchError(RuntimeError):
@@ -80,6 +90,8 @@ class SurveyConfig:
     crosscheck_seed: int = 0
 
     def __post_init__(self):
+        if self.rank < 2:
+            raise ValueError(f"survey needs rank >= 2, got rank {self.rank}")
         if self.elements < self.rank + 1:
             raise ValueError(
                 f"survey needs n >= r+1, got r={self.rank}, n={self.elements}"
@@ -186,23 +198,62 @@ def _checkpoint_meta(cfg: SurveyConfig) -> dict:
 
 
 def save_checkpoint(path: str | Path, cp: Checkpoint) -> None:
-    """Write atomically: temp file in the same directory, then rename."""
+    """Write atomically: temp file in the same directory, synced, then renamed."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(cp.to_json_dict(), indent=2) + "\n")
+    with open(tmp, "w") as fh:
+        fh.write(json.dumps(cp.to_json_dict(), indent=2) + "\n")
+        fh.flush()
+        os.fsync(fh.fileno())
     os.replace(tmp, path)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    data = json.loads(Path(path).read_text())
-    return Checkpoint(
-        meta=data["meta"],
-        completed_chunks=set(data["completed_chunks"]),
-        partial_histogram=Counter(
-            {int(f): int(c) for f, c in data["partial_histogram"].items()}
-        ),
-        alternating_class_f=data["partial_max"]["alternating_class_f"],
-    )
+    """Read a checkpoint and check it against its own metadata.
+
+    Raises CorruptCheckpointError, naming the file, when the file is not a
+    checkpoint, names a chunk outside its range, holds a histogram that does
+    not total the classes of its completed chunks, or holds an alternating f
+    when the chunk holding class 0 is not done, or lacks one when it is.
+    """
+    try:
+        data = json.loads(Path(path).read_text())
+        cp = Checkpoint(
+            meta=data["meta"],
+            completed_chunks=set(data["completed_chunks"]),
+            partial_histogram=Counter(
+                {int(f): int(c) for f, c in data["partial_histogram"].items()}
+            ),
+            alternating_class_f=data["partial_max"]["alternating_class_f"],
+        )
+        lo, hi = cp.meta["range"]
+        chunks = {cid: (a, b) for cid, a, b in _chunk_bounds(lo, hi, cp.meta["chunk_size"])}
+    except (ValueError, KeyError, TypeError, AttributeError, ArithmeticError) as exc:
+        raise CorruptCheckpointError(
+            f"checkpoint {path} is not a survey checkpoint: {type(exc).__name__}: {exc}"
+        ) from None
+
+    def corrupt(problem: str) -> CorruptCheckpointError:
+        return CorruptCheckpointError(f"checkpoint {path} is inconsistent: {problem}")
+
+    outside = sorted(cp.completed_chunks - chunks.keys(), key=str)
+    if outside:
+        raise corrupt(f"chunk ids {outside} lie outside the range [{lo},{hi})")
+    if any(c < 1 for c in cp.partial_histogram.values()):
+        raise corrupt("histogram holds a count below 1")
+    covered = sum(b - a for cid, (a, b) in chunks.items() if cid in cp.completed_chunks)
+    surveyed = sum(cp.partial_histogram.values())
+    if surveyed != covered:
+        raise corrupt(
+            f"histogram counts {surveyed} classes, but the completed chunks cover {covered}"
+        )
+    holds_zero = lo == 0 and 0 in cp.completed_chunks
+    if (cp.alternating_class_f is not None) != holds_zero:
+        raise corrupt(
+            f"alternating_class_f is {cp.alternating_class_f}, but the chunk holding "
+            f"class 0 is {'done' if holds_zero else 'not done'}"
+        )
+    return cp
 
 
 # ---------------------------------------------------------------------------
@@ -211,20 +262,32 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 
 @dataclass
 class _Runtime:
+    """Per-process evaluation state of one survey.
+
+    ``classes`` is the number of classes the whole survey covers.  The
+    circuits engine counts with a violation table when the survey has at
+    least 2^r classes, so that building the table pays for itself, and the
+    table fits TABLE_MAX_BYTES; otherwise it counts class by class.  The
+    table is built on the first chunk and lives as long as the runtime.
+    """
+
     rank: int
     elements: int
     k: int
     engine: str
-    use_jit: bool = True
+    classes: int = 0
     ctx: object = field(default=None)
-    jit: object = field(default=None)
+    use_table: bool = field(default=False, init=False)
+    table: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self):
         if self.engine == "circuits":
-            if self.use_jit and _fast.HAVE_JIT:
-                self.jit = _fast.JitSurveyContext(self.rank, self.elements, self.k)
-            else:
-                self.ctx = sign_core._mask_context(self.rank, self.elements)
+            self.ctx = sign_core._mask_context(self.rank, self.elements)
+            self.use_table = (
+                self.classes >= 1 << self.rank
+                and sign_core.violation_table_nbytes(self.rank, self.elements)
+                <= TABLE_MAX_BYTES
+            )
 
 
 def _evaluate_class(rt: _Runtime, index: int) -> int:
@@ -238,10 +301,25 @@ def _evaluate_class(rt: _Runtime, index: int) -> int:
     return travels.f_via_travels(A, rt.k)
 
 
+def _run_table_chunk(rt: _Runtime, lo: int, hi: int) -> tuple[Counter, int | None]:
+    if rt.table is None:
+        rt.table = sign_core.violation_table(rt.rank, rt.elements, rt.k)
+    step = sign_core.violation_block_size(rt.table)
+    counts = np.zeros((1 << rt.elements) + 1, dtype=np.int64)
+    alternating_f = None
+    for a in range(lo, hi, step):
+        entries = representative_entries(rt.rank, rt.elements, np.arange(a, min(hi, a + step)))
+        fs = sign_core.violation_counts(rt.table, entries, rt.ctx)
+        counts += np.bincount(fs, minlength=counts.shape[0])
+        if a == 0:
+            alternating_f = int(fs[0])
+    hist = Counter({int(f): int(counts[f]) for f in np.flatnonzero(counts)})
+    return hist, alternating_f
+
+
 def _run_chunk(rt: _Runtime, lo: int, hi: int) -> tuple[Counter, int | None]:
-    if rt.jit is not None:
-        counts, alternating_f = rt.jit.run(lo, hi)
-        return Counter(counts), alternating_f
+    if rt.use_table:
+        return _run_table_chunk(rt, lo, hi)
     hist = Counter()
     alternating_f = None
     for index in range(lo, hi):
@@ -255,9 +333,9 @@ def _run_chunk(rt: _Runtime, lo: int, hi: int) -> tuple[Counter, int | None]:
 _WORKER_RT: _Runtime | None = None
 
 
-def _init_worker(rank: int, elements: int, k: int, engine: str) -> None:
+def _init_worker(rank: int, elements: int, k: int, engine: str, classes: int) -> None:
     global _WORKER_RT
-    _WORKER_RT = _Runtime(rank, elements, k, engine)
+    _WORKER_RT = _Runtime(rank, elements, k, engine, classes)
 
 
 def _worker_chunk(job: tuple[int, int, int]) -> tuple[int, dict, int | None]:
@@ -270,18 +348,18 @@ def _worker_chunk(job: tuple[int, int, int]) -> tuple[int, dict, int | None]:
 # the survey driver
 # ---------------------------------------------------------------------------
 
-def _chunk_jobs(cfg: SurveyConfig, skip: set[int]) -> list[tuple[int, int, int]]:
-    lo, hi = cfg.bounds()
+def _chunk_bounds(lo: int, hi: int, size: int) -> list[tuple[int, int, int]]:
+    """(chunk id, first index, end index) of every chunk that meets [lo, hi)."""
     if hi == lo:
         return []
-    size = cfg.chunk_size
-    first, last = lo // size, (hi - 1) // size
-    jobs = []
-    for cid in range(first, last + 1):
-        if cid in skip:
-            continue
-        jobs.append((cid, max(lo, cid * size), min(hi, (cid + 1) * size)))
-    return jobs
+    return [
+        (cid, max(lo, cid * size), min(hi, (cid + 1) * size))
+        for cid in range(lo // size, (hi - 1) // size + 1)
+    ]
+
+
+def _chunk_jobs(cfg: SurveyConfig, skip: set[int]) -> list[tuple[int, int, int]]:
+    return [job for job in _chunk_bounds(*cfg.bounds(), cfg.chunk_size) if job[0] not in skip]
 
 
 def _survey_c_value(cfg: SurveyConfig) -> CValue:
@@ -328,7 +406,7 @@ def run_survey(cfg: SurveyConfig) -> SurveyResult:
             save_checkpoint(cfg.checkpoint_path, checkpoint)
 
     if cfg.threads == 1 or len(jobs) <= 1:
-        rt = _Runtime(cfg.rank, cfg.elements, cfg.k, cfg.engine)
+        rt = _Runtime(cfg.rank, cfg.elements, cfg.k, cfg.engine, hi - lo)
         for chunk_id, a, b in jobs:
             hist, alt = _run_chunk(rt, a, b)
             absorb(chunk_id, dict(hist), alt)
@@ -336,13 +414,20 @@ def run_survey(cfg: SurveyConfig) -> SurveyResult:
         with multiprocessing.Pool(
             processes=cfg.threads,
             initializer=_init_worker,
-            initargs=(cfg.rank, cfg.elements, cfg.k, cfg.engine),
+            initargs=(cfg.rank, cfg.elements, cfg.k, cfg.engine, hi - lo),
         ) as pool:
             for chunk_id, hist, alt in pool.imap_unordered(_worker_chunk, jobs):
                 absorb(chunk_id, hist, alt)
 
     hist = checkpoint.partial_histogram
     alternating_f = checkpoint.alternating_class_f
+    surveyed = sum(hist.values())
+    odd = sorted(f for f in hist if f % 2)
+    if surveyed != hi - lo or odd:
+        raise RuntimeError(
+            f"survey self-check failed: histogram counts {surveyed} classes of "
+            f"{hi - lo}, odd f values {odd}"
+        )
     max_f = max(hist) if hist else 0
     maximizers = hist.get(max_f, 0)
     exclude_alt = 1 if (alternating_f is not None and alternating_f == max_f) else 0

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per exit criterion, one printed line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines.  The extended multi-hour surveys (criterion 4) are skipped unless
+lines.  The extended surveys (criterion 4) are skipped unless
 LOMLAB_LONG=1 is set; everything else runs by default.  All assertions are
 exact (integer equality), no tolerances anywhere.
 """
@@ -86,14 +86,15 @@ def test_criterion_2a_survey_r8n11k2():
 
 def test_criterion_2b_survey_r8n11k3():
     # The stated expectation (exactly 251 maximizer classes) is contradicted
-    # by the exhaustive computation: five independent paths (jit kernel,
-    # vectorized circuit masks, chirotope-table engine, travels engine, and
-    # the plain brute-force oracle over all 2^11 subsets) all count f = 22
-    # on exactly 256 classes (255 excluding the alternating one), and the
-    # maximizer set is identical to the k=2 set whose published count of 255
-    # does match.  This test asserts the stated number and is expected to
-    # fail until the 251 is reconciled; every structural check (histogram
-    # total and parity, alternating class, max_f <= c) passes.
+    # by the exhaustive computation: five independent paths (violation-table
+    # survey engine, vectorized circuit masks, chirotope-table engine,
+    # travels engine, and the plain brute-force oracle over all 2^11
+    # subsets) all count f = 22 on exactly 256 classes (255 excluding the
+    # alternating one), and the maximizer set is identical to the k=2 set
+    # whose published count of 255 does match.  This test asserts the
+    # stated number and is expected to fail until the 251 is reconciled;
+    # every structural check (histogram total and parity, alternating
+    # class, max_f <= c) passes.
     k3 = verify_case("r8n11k3", threads=THREADS)
     assert k3.result.c.value == 22 == c_closed_form(8, 11, 3)
     assert k3.result.max_f == 22

@@ -12,6 +12,7 @@ from lomlab.chessboard import (
     index_of_chessboard,
     relevant_squares,
     render_board,
+    representative_entries,
     representative_of_index,
 )
 from lomlab.sign_core import (
@@ -131,6 +132,15 @@ class TestRepresentatives:
                 for j in range(1, n):
                     if (i, j) not in relevant:
                         assert not board.is_black(i, j)
+
+    @pytest.mark.parametrize("r,n", [(4, 7), (12, 24)])  # 6 and 121 index bits
+    def test_batch_fill_roundtrip(self, r, n):
+        rng = random.Random(5)
+        indices = [0, class_count(r, n) - 1] + [rng.randrange(class_count(r, n)) for _ in range(6)]
+        batch = representative_entries(r, n, indices)
+        assert batch.shape == (len(indices), r, n)
+        for index, entries in zip(indices, batch):
+            assert index_of_chessboard(chessboard_of(SignMatrix.from_array(entries)), r, n) == index
 
     def test_seed_row_and_column_are_positive(self):
         for index in (0, 5, 13):

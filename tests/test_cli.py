@@ -259,6 +259,16 @@ class TestErrorHandling:
         assert code == 1
         assert "--range" in err
 
+    def test_truncated_checkpoint_names_the_file(self, capsys, tmp_path):
+        path = tmp_path / "cut.ckpt.json"
+        path.write_text('{"meta": {"rank"')
+        code, _, err = run_cli(
+            capsys,
+            "survey", "--rank", "3", "--elements", "5", "--k", "1", "--checkpoint", str(path),
+        )
+        assert code == 1
+        assert str(path) in err and "Expecting ':' delimiter" in err
+
     def test_dimension_error_names_the_problem(self, capsys):
         code, _, err = run_cli(
             capsys, "representative", "--rank", "4", "--elements", "4", "--index", "0"

@@ -2,21 +2,26 @@ import random
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    all_representatives,
     brute_force_count,
     brute_force_o_vector,
     random_matrix,
 )
-from lomlab.chessboard import class_count, representative_of_index
+from lomlab.chessboard import class_count, representative_entries, representative_of_index
 from lomlab.formulas import total_plain_travels
 from lomlab.sign_core import (
     ChirotopeTable,
     SignedCircuit,
     SignMatrix,
+    _circuit_masks_from_entries,
+    _count_from_masks,
+    _mask_context,
     all_circuits,
     alternating_matrix,
     chirotope_from_matrix,
@@ -31,6 +36,9 @@ from lomlab.sign_core import (
     o_vector,
     reorient_columns,
     reorient_rows,
+    violation_counts,
+    violation_table,
+    violation_table_nbytes,
 )
 
 
@@ -455,3 +463,46 @@ class TestCircuitsFromChirotope:
                             fc = count_k_neighborly_reorientations_chirotope(contracted, k)
                             fd = count_k_neighborly_reorientations_chirotope(deleted, k)
                             assert f[k] <= fc + fd
+
+
+class TestViolationTable:
+    """The survey's table engine against the mask engine and the oracle."""
+
+    SHAPES = [
+        (2, 5, 0), (3, 4, 0), (3, 5, 1), (3, 6, 0), (3, 7, 1),
+        (3, 9, 1), (4, 7, 1), (4, 7, 2), (4, 8, 1), (5, 9, 2),
+    ]
+
+    @staticmethod
+    def table_counts(r, n, k, entries):
+        return violation_counts(violation_table(r, n, k), entries, _mask_context(r, n))
+
+    @pytest.mark.parametrize("r,n,k", SHAPES)
+    def test_every_class_matches_mask_engine(self, r, n, k):
+        ctx = _mask_context(r, n)
+        table = violation_table(r, n, k)
+        assert table.nbytes == violation_table_nbytes(r, n)
+        entries = representative_entries(r, n, range(class_count(r, n)))
+        got = violation_counts(table, entries, ctx).tolist()
+        want = [
+            _count_from_masks(_circuit_masks_from_entries(e, ctx), ctx.support_masks, n, r, k)
+            for e in entries
+        ]
+        assert got == want
+        if k > (r - 1) // 2:
+            assert set(got) == {0}  # no reorientation is that neighborly
+
+    @pytest.mark.parametrize("r,n,k", [(3, 4, 0), (2, 5, 0), (3, 5, 1)])
+    def test_matches_brute_force_oracle(self, r, n, k):
+        entries = representative_entries(r, n, range(class_count(r, n)))
+        want = [brute_force_count(A, k) for A in all_representatives(r, n)]
+        assert self.table_counts(r, n, k, entries).tolist() == want
+
+    @given(sign_matrices(max_n=7), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_arbitrary_matrices_in_row_major_layout(self, A, data):
+        # any signs, not only canonical representatives, and k up to past r/2
+        k = data.draw(st.integers(0, A.rows // 2 + 1))
+        entries = np.stack([A.to_array(), reorient_columns(A, {1}).to_array()])
+        want = count_k_neighborly_reorientations(A, k)
+        assert self.table_counts(A.rows, A.cols, k, entries).tolist() == [want, want]

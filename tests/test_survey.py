@@ -1,15 +1,17 @@
 import json
-import random
+import os
 from collections import Counter
 
 import pytest
 
+import lomlab.survey as survey_module
 from conftest import brute_force_count
-from lomlab import _fast
 from lomlab.chessboard import class_count, representative_of_index
+from lomlab.sign_core import violation_table_nbytes
 from lomlab.survey import (
     Checkpoint,
     CheckpointMismatchError,
+    CorruptCheckpointError,
     SurveyConfig,
     _checkpoint_meta,
     _run_chunk,
@@ -146,28 +148,97 @@ class TestVerifyCase:
         assert payload["result"]["class_count"] == 4
 
 
-@pytest.mark.skipif(not _fast.HAVE_JIT, reason="numba not installed")
-class TestJitKernel:
-    @pytest.mark.parametrize("r,n,k", [(3, 5, 1), (3, 6, 0), (4, 6, 1), (4, 7, 2)])
-    def test_full_agreement_with_numpy_path(self, r, n, k):
-        jit = _Runtime(r, n, k, "circuits", use_jit=True)
-        plain = _Runtime(r, n, k, "circuits", use_jit=False)
-        total = class_count(r, n)
-        assert _run_chunk(jit, 0, total) == _run_chunk(plain, 0, total)
+class TestTableEngine:
+    """Surveys that count with the violation table give the mask path's bytes."""
 
-    def test_chunked_agreement_at_larger_size(self):
-        rng = random.Random(61)
-        jit = _Runtime(5, 9, 2, "circuits", use_jit=True)
-        plain = _Runtime(5, 9, 2, "circuits", use_jit=False)
-        for _ in range(12):
-            lo = rng.randrange(class_count(5, 9) - 8)
-            assert _run_chunk(jit, lo, lo + 8) == _run_chunk(plain, lo, lo + 8)
+    @staticmethod
+    def mask_path(monkeypatch, cfg):
+        with monkeypatch.context() as m:
+            m.setattr(survey_module, "TABLE_MAX_BYTES", 0)
+            return result_fingerprint(run_survey(cfg))
 
-    def test_survey_results_identical_without_jit(self, monkeypatch):
-        with_jit = run_survey(SurveyConfig(4, 7, 1, chunk_size=16))
-        monkeypatch.setattr(_fast, "HAVE_JIT", False)
-        without = run_survey(SurveyConfig(4, 7, 1, chunk_size=16))
-        assert result_fingerprint(with_jit) == result_fingerprint(without)
+    @pytest.mark.parametrize("lo,hi,table", [(0, 15, False), (0, 16, True), (7, 23, True)])
+    def test_switch_at_two_to_the_rank(self, monkeypatch, lo, hi, table):
+        assert _Runtime(4, 8, 1, "circuits", hi - lo).use_table is table
+        cfg = SurveyConfig(4, 8, 1, chunk_size=5, index_range=(lo, hi))
+        assert result_fingerprint(run_survey(cfg)) == self.mask_path(monkeypatch, cfg)
+
+    def test_byte_constant_selects_the_mask_path(self, monkeypatch):
+        need = violation_table_nbytes(5, 9)
+        monkeypatch.setattr(survey_module, "TABLE_MAX_BYTES", need - 1)
+        assert not _Runtime(5, 9, 2, "circuits", class_count(5, 9)).use_table
+        low = result_fingerprint(run_survey(SurveyConfig(5, 9, 2, chunk_size=1000)))
+        monkeypatch.setattr(survey_module, "TABLE_MAX_BYTES", need)
+        assert _Runtime(5, 9, 2, "circuits", class_count(5, 9)).use_table
+        assert result_fingerprint(run_survey(SurveyConfig(5, 9, 2, chunk_size=1000))) == low
+
+    def test_pool_workers_build_their_own_table(self, monkeypatch):
+        cfg = SurveyConfig(4, 7, 1, threads=2, chunk_size=7)
+        assert result_fingerprint(run_survey(cfg)) == self.mask_path(
+            monkeypatch, SurveyConfig(4, 7, 1)
+        )
+
+
+class TestSelfChecks:
+    def write(self, path, cfg, chunks, hist, alternating):
+        save_checkpoint(path, Checkpoint(_checkpoint_meta(cfg), chunks, Counter(hist), alternating))
+
+    def test_histogram_short_of_completed_chunks_refused(self, tmp_path):
+        # chunk 0 of 4x7 covers all 64 classes; a 1-class histogram is not its result
+        path = tmp_path / "short.ckpt.json"
+        cfg = SurveyConfig(4, 7, 1, checkpoint_path=path)
+        self.write(path, cfg, {0}, {4: 1}, 4)
+        with pytest.raises(CorruptCheckpointError, match="short.ckpt.json.*counts 1 classes"):
+            run_survey(cfg)
+
+    def test_chunk_id_out_of_range_refused(self, tmp_path):
+        path = tmp_path / "ids.ckpt.json"
+        cfg = SurveyConfig(3, 6, 1, chunk_size=4, checkpoint_path=path)
+        self.write(path, cfg, {4}, {2: 4}, None)
+        with pytest.raises(CorruptCheckpointError, match=r"ids.ckpt.json.*\[4\]"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("chunks,hist,alternating", [({0}, {2: 4}, None), ({1}, {2: 4}, 2)])
+    def test_alternating_f_must_match_chunk_zero(self, tmp_path, chunks, hist, alternating):
+        path = tmp_path / "alt.ckpt.json"
+        cfg = SurveyConfig(3, 6, 1, chunk_size=4, checkpoint_path=path)
+        self.write(path, cfg, chunks, hist, alternating)
+        with pytest.raises(CorruptCheckpointError, match="alt.ckpt.json.*alternating_class_f"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("text", ['{"meta": {"rank"', '{"meta": {}}', "[1, 2]"])
+    def test_unreadable_checkpoint_named(self, tmp_path, text):
+        path = tmp_path / "broken.ckpt.json"
+        path.write_text(text)
+        with pytest.raises(CorruptCheckpointError, match="broken.ckpt.json"):
+            load_checkpoint(path)
+
+    def test_survey_checks_its_histogram_total(self, monkeypatch):
+        real = survey_module._run_chunk
+
+        def lose_a_class(rt, lo, hi):
+            return real(rt, lo, hi - 1)
+
+        monkeypatch.setattr(survey_module, "_run_chunk", lose_a_class)
+        with pytest.raises(RuntimeError, match="counts 15 classes of 16"):
+            run_survey(SurveyConfig(3, 6, 1))
+
+    def test_rank_one_rejected(self):
+        with pytest.raises(ValueError, match="rank 1"):
+            SurveyConfig(1, 4, 0)
+
+    def test_checkpoint_synced_before_rename(self, tmp_path, monkeypatch):
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+        monkeypatch.setattr(os, "fsync", lambda fd: (events.append("fsync"), real_fsync(fd)))
+        monkeypatch.setattr(
+            os, "replace", lambda a, b: (events.append("replace"), real_replace(a, b))
+        )
+        path = tmp_path / "synced.ckpt.json"
+        cfg = SurveyConfig(3, 5, 1, checkpoint_path=path)
+        save_checkpoint(path, Checkpoint(_checkpoint_meta(cfg), set(), Counter(), None))
+        assert events == ["fsync", "replace"]
+        assert load_checkpoint(path).completed_chunks == set()
 
 
 class TestEngineCrosscheck:
