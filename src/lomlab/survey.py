@@ -100,6 +100,16 @@ class SurveyConfig:
             raise ValueError("k must be non-negative")
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}, expected one of {ENGINES}")
+        limit = (
+            sign_core.MAX_EXHAUSTIVE_ELEMENTS
+            if self.engine == "circuits"
+            else travels.MAX_MASK_ELEMENTS
+        )
+        if self.elements > limit:
+            raise ValueError(
+                f"the {self.engine} engine surveys at most n={limit} elements, "
+                f"got n={self.elements}"
+            )
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
         if self.chunk_size < 1:
@@ -111,6 +121,8 @@ class SurveyConfig:
                 raise ValueError(
                     f"index range [{lo},{hi}) outside 0..{total}"
                 )
+            if lo == hi:
+                raise ValueError(f"index range [{lo},{hi}) holds no class")
         if self.crosscheck_samples < 0:
             raise ValueError("crosscheck sample count must be >= 0")
 
@@ -428,8 +440,8 @@ def run_survey(cfg: SurveyConfig) -> SurveyResult:
             f"survey self-check failed: histogram counts {surveyed} classes of "
             f"{hi - lo}, odd f values {odd}"
         )
-    max_f = max(hist) if hist else 0
-    maximizers = hist.get(max_f, 0)
+    max_f = max(hist)
+    maximizers = hist[max_f]
     exclude_alt = 1 if (alternating_f is not None and alternating_f == max_f) else 0
     return SurveyResult(
         rank=cfg.rank,

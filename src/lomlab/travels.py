@@ -8,6 +8,9 @@ recorded only by its strictly increasing set of drop columns; realizing it
 means finding the column reorientation whose top travel follows that path.
 Plain travels are the travel-side counting device: each k-neighborly plain
 travel accounts for exactly two k-neighborly reorientation subsets.
+``count_k_neighborly_plain_travels`` counts all of them at once on column
+bitmasks; the scalar walks below give paths and single answers, and are the
+reference its tests compare against.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import Iterable
+
+import numpy as np
 
 from .sign_core import SignMatrix, reorient_columns
 
@@ -31,6 +36,16 @@ __all__ = [
     "f_via_travels",
     "positivizing_set",
 ]
+
+# Column masks are int64; one spare bit below the sign bit takes the left
+# shift in _boundary.
+MAX_MASK_ELEMENTS = 62
+# Column sets walked per pass; travels with a positive walk leave the grid
+# between passes.  32 was the fastest of 4 to 1000 at r7n11k2, r8n11k3 and
+# r9n12k3.
+SET_GROUP = 32
+# Largest grid of (plain travel, column set) pairs walked at once.
+GRID_MAX_PAIRS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -185,19 +200,85 @@ def realize_plain_travel(A: SignMatrix, P: PlainTravel) -> tuple[SignMatrix, fro
     return reorient_columns(A, R), R
 
 
+def _subset_masks(first: int, width: int, most: int) -> np.ndarray:
+    """Bitmasks of every set of at most ``most`` bits among first..width-1."""
+    masks = np.zeros(1, dtype=np.int64)
+    for b in range(first, width):
+        masks = np.concatenate([masks, masks[np.bitwise_count(masks) < most] | (1 << b)])
+    return masks
+
+
+def _boundary(flips: np.ndarray, n: int) -> np.ndarray:
+    """Mask of the columns c >= 1 whose sign change against column c-1 the
+    reorientation ``flips`` toggles: those where exactly one of c, c-1 flips."""
+    return (flips ^ (flips << 1)) & ((1 << n) - 2)
+
+
+def _no_positive_walk(walks: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """For each travel (column of ``walks``, its rows' change masks), whether
+    the top travel stays non-positive under every boundary in ``reach``."""
+    m = walks[0, :, None] ^ reach  # mismatch columns right of column 1 in row 1
+    above = np.empty_like(m)
+    for row_changes in walks[1:]:
+        np.negative(m, out=above)
+        above ^= m  # columns right of each walk's drop column; 0 once it ended
+        np.bitwise_xor(row_changes[:, None], reach, out=m)
+        m &= above
+    return ~m.any(axis=1)
+
+
 def count_k_neighborly_plain_travels(A: SignMatrix, k: int) -> int:
-    """Number of plain travels whose realized reorientation is k-neighborly."""
+    """Number of plain travels whose realized reorientation is k-neighborly.
+
+    Counts every travel at once on int64 column bitmasks (bit c-1 stands for
+    column c), so n may be at most MAX_MASK_ELEMENTS.  Bit c of a row's change
+    mask is set where the row's sign changes between columns c and c+1
+    (1-based), so a top travel entering a row at bit j leaves it at the
+    lowest set bit above j.  The left-to-right forcing of
+    ``realize_plain_travel`` runs over all drop sets in n-1 vector steps and
+    gives each travel's flip set R.  Reorienting the columns of a set F XORs
+    every change mask with ``_boundary(F)``, so the top travel of R ^ S is
+    walked row by row with bit arithmetic for every column set S with
+    |S| <= k; a travel counts when none of these walks is positive.  The sets
+    S are taken by increasing size, SET_GROUP at a time, and a travel leaves
+    the grid at its first positive walk; each grid is walked in blocks of at
+    most GRID_MAX_PAIRS (travel, set) pairs, at least one travel per block.
+    """
     if k < 0:
         raise ValueError("k must be non-negative")
     r, n = A.rows, A.cols
     if n < r + 1:
         raise ValueError(f"counting requires n >= r+1, got r={r}, n={n}")
-    total = 0
-    for P in enumerate_plain_travels(r, n):
-        realized, _ = realize_plain_travel(A, P)
-        if is_k_neighborly_matrix(realized, k):
-            total += 1
-    return total
+    if r < 2:
+        raise ValueError(f"plain travels need 2 <= r <= n, got r={r}, n={n}")
+    if n > MAX_MASK_ELEMENTS:
+        raise ValueError(
+            f"the travels count supports at most n={MAX_MASK_ELEMENTS} elements, got n={n}"
+        )
+    a = np.array(A.entries, dtype=np.int64)
+    changes = ((a[:, 1:] != a[:, :-1]).astype(np.int64) << np.arange(1, n)).sum(axis=1)
+
+    drops = _subset_masks(1, n, r - 1)
+    row = np.zeros(drops.shape, dtype=np.intp)
+    flip = np.zeros_like(drops)  # whether the current column flips; column 1 never does
+    flips = np.zeros_like(drops)
+    for c in range(1, n):
+        dropped = (drops >> c) & 1
+        flip ^= ((changes[row] >> c) & 1) ^ dropped
+        flips |= flip << c
+        row += dropped
+
+    walks = changes[:, None] ^ _boundary(flips, n)  # (r, travels)
+    sets = _subset_masks(0, n, k)
+    sets = sets[np.argsort(np.bitwise_count(sets), kind="stable")]
+    for lo in range(0, sets.shape[0], SET_GROUP):
+        reach = _boundary(sets[lo:lo + SET_GROUP], n)
+        block = max(1, GRID_MAX_PAIRS // reach.shape[0])
+        keep = np.empty(walks.shape[1], dtype=bool)
+        for t in range(0, walks.shape[1], block):
+            keep[t:t + block] = _no_positive_walk(walks[:, t:t + block], reach)
+        walks = walks[:, keep]
+    return walks.shape[1]
 
 
 def f_via_travels(A: SignMatrix, k: int) -> int:

@@ -259,6 +259,22 @@ class TestErrorHandling:
         assert code == 1
         assert "--range" in err
 
+    def test_wide_circuits_survey_refused(self, capsys):
+        code, _, err = run_cli(
+            capsys,
+            "survey", "--rank", "3", "--elements", "40", "--k", "1", "--range", "0..1",
+        )
+        assert code == 1
+        assert "n=40" in err and "n=24" in err
+
+    def test_empty_range_refused(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "survey", "--rank", "3", "--elements", "5", "--k", "1", "--range", "2..2",
+        )
+        assert code == 1 and out == ""
+        assert "[2,2)" in err
+
     def test_truncated_checkpoint_names_the_file(self, capsys, tmp_path):
         path = tmp_path / "cut.ckpt.json"
         path.write_text('{"meta": {"rank"')

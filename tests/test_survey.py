@@ -227,6 +227,17 @@ class TestSelfChecks:
         with pytest.raises(ValueError, match="rank 1"):
             SurveyConfig(1, 4, 0)
 
+    def test_survey_past_engine_width_refused(self):
+        with pytest.raises(ValueError, match="n=24 elements, got n=40"):
+            SurveyConfig(3, 40, 1, index_range=(0, 1))
+        with pytest.raises(ValueError, match="n=62 elements, got n=63"):
+            SurveyConfig(2, 63, 0, engine="travels", index_range=(0, 1))
+        assert SurveyConfig(3, 40, 1, engine="travels", index_range=(0, 1)).elements == 40
+
+    def test_empty_range_refused(self):
+        with pytest.raises(ValueError, match=r"\[2,2\) holds no class"):
+            SurveyConfig(3, 5, 1, index_range=(2, 2))
+
     def test_checkpoint_synced_before_rename(self, tmp_path, monkeypatch):
         events = []
         real_fsync, real_replace = os.fsync, os.replace
@@ -239,6 +250,32 @@ class TestSelfChecks:
         save_checkpoint(path, Checkpoint(_checkpoint_meta(cfg), set(), Counter(), None))
         assert events == ["fsync", "replace"]
         assert load_checkpoint(path).completed_chunks == set()
+
+
+class TestTravelsSurvey:
+    """Whole-space surveys by the travels engine give the circuits engine's JSON."""
+
+    @staticmethod
+    def payload(cfg):
+        d = run_survey(cfg).to_json_dict()
+        del d["engine"], d["elapsed_seconds"]
+        return d
+
+    @pytest.mark.parametrize("r,n,k", [(4, 8, 1), (5, 8, 2)])
+    def test_matches_circuits(self, r, n, k):
+        by_travels = self.payload(SurveyConfig(r, n, k, engine="travels"))
+        assert by_travels == self.payload(SurveyConfig(r, n, k))
+
+    @pytest.mark.skipif(
+        os.environ.get("LOMLAB_LONG") != "1", reason="full survey; set LOMLAB_LONG=1 to run"
+    )
+    def test_full_r8n11k3(self):
+        # a second full-survey engine behind the known red of criterion 2b
+        by_travels = run_survey(SurveyConfig(8, 11, 3, engine="travels", threads=2))
+        by_circuits = run_survey(SurveyConfig(8, 11, 3))
+        assert by_travels.histogram == by_circuits.histogram
+        assert by_travels.max_f == 22
+        assert by_travels.maximizer_count_excluding_alternating == 255
 
 
 class TestEngineCrosscheck:

@@ -3,13 +3,17 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lomlab.travels as travels_module
 from conftest import (
     all_representatives,
     brute_force_acyclic_subsets,
     brute_force_count,
     random_matrix,
 )
+from lomlab.chessboard import representative_of_index
 from lomlab.sign_core import (
     SignMatrix,
     all_circuits,
@@ -34,6 +38,15 @@ from lomlab.travels import (
 
 def plus_with_cols_negated(r, n, cols):
     return reorient_columns(alternating_matrix(r, n), cols)
+
+
+def scalar_travel_count(A, k):
+    """Reference for the batched count: realize each plain travel on its own and
+    scan its column sets with the scalar top-travel walk."""
+    return sum(
+        is_k_neighborly_matrix(realize_plain_travel(A, P)[0], k)
+        for P in enumerate_plain_travels(A.rows, A.cols)
+    )
 
 
 class TestTopTravel:
@@ -214,6 +227,56 @@ class TestTravelCounting:
             A = random_matrix(rng, rng.randint(2, 4), rng.randint(5, 6))
             for k in (0, 1):
                 assert f_via_travels(A, k) == brute_force_count(A, k)
+
+
+class TestBatchedCount:
+    """count_k_neighborly_plain_travels against the scalar walk it batches."""
+
+    @pytest.mark.parametrize(
+        "r,n,k", [(2, 5, 0), (3, 4, 0), (3, 5, 1), (3, 6, 1), (4, 7, 1), (4, 7, 2), (5, 8, 2)]
+    )
+    def test_every_class(self, r, n, k):
+        for A in all_representatives(r, n):
+            assert count_k_neighborly_plain_travels(A, k) == scalar_travel_count(A, k)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_arbitrary_matrices(self, data):
+        r = data.draw(st.integers(2, 6))
+        n = data.draw(st.integers(r + 1, 10))
+        k = data.draw(st.integers(0, 3))
+        sign = st.sampled_from([1, -1])
+        rows = data.draw(
+            st.lists(st.lists(sign, min_size=n, max_size=n), min_size=r, max_size=r)
+        )
+        A = SignMatrix.from_rows(rows)
+        assert count_k_neighborly_plain_travels(A, k) == scalar_travel_count(A, k)
+
+    def test_wide_matrix_past_32_bits(self):
+        # f is invariant under column reorientation: the alternating 3 x 40
+        # matrix has one 1-neighborly travel however its columns are signed
+        rng = random.Random(40)
+        flipped = [c for c in range(2, 41) if rng.random() < 0.5]
+        for A in [alternating_matrix(3, 40), reorient_columns(alternating_matrix(3, 40), flipped)]:
+            assert count_k_neighborly_plain_travels(A, 1) == scalar_travel_count(A, 1) == 1
+        A = random_matrix(rng, 3, 40)
+        assert count_k_neighborly_plain_travels(A, 1) == scalar_travel_count(A, 1)
+
+    @pytest.mark.parametrize("pairs,group", [(1, 32), (7, 32), (50, 3), (1 << 20, 1)])
+    def test_grid_sizes_do_not_change_counts(self, monkeypatch, pairs, group):
+        shapes = [(4, 8, 1, 424), (4, 9, 1, 356), (6, 10, 2, 26506)]
+        cases = [(representative_of_index(r, n, i), k) for r, n, k, i in shapes]
+        want = [count_k_neighborly_plain_travels(A, k) for A, k in cases]
+        assert want == [4, 3, 4]
+        monkeypatch.setattr(travels_module, "GRID_MAX_PAIRS", pairs)
+        monkeypatch.setattr(travels_module, "SET_GROUP", group)
+        assert [count_k_neighborly_plain_travels(A, k) for A, k in cases] == want
+        assert want == [scalar_travel_count(A, k) for A, k in cases]
+
+    def test_more_than_62_columns_refused(self):
+        assert count_k_neighborly_plain_travels(alternating_matrix(2, 62), 0) == 62
+        with pytest.raises(ValueError, match="n=63"):
+            count_k_neighborly_plain_travels(alternating_matrix(2, 63), 0)
 
 
 class TestPositivizingSet:
