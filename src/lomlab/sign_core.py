@@ -272,10 +272,8 @@ def chirotope_sign(A: SignMatrix, basis: Sequence[int]) -> int:
 def _circuit_signs(A: SignMatrix, support: tuple[int, ...]) -> tuple[int, ...]:
     # X_{j_1} = +1; X_{j_{i+1}} = -X_{j_i} * a[i][j_i] * a[i][j_{i+1}]
     signs = [1]
-    for i in range(1, len(support)):
-        prev = support[i - 1]
-        cur = support[i]
-        signs.append(-signs[-1] * A.sign(i, prev) * A.sign(i, cur))
+    for row, prev, cur in zip(A.entries, support, support[1:]):
+        signs.append(-signs[-1] * row[prev - 1] * row[cur - 1])
     return tuple(signs)
 
 
@@ -323,11 +321,14 @@ def is_k_neighborly_circuits(A: SignMatrix, reoriented: Iterable[int], k: int) -
 # ---------------------------------------------------------------------------
 # vectorized counting engine
 #
-# Circuits are packed as bitmasks over elements (element j -> bit j-1).  For a
-# reorientation mask R the positive side of a circuit with support mask S and
-# positive mask P has popcount(P XOR (S AND R)) elements, so neighborliness is
-# a pure popcount test.  Complement pairing (R vs its complement) lets us scan
-# only the masks with element 1 unflipped and double the tally.
+# Circuits are packed as bitmasks over elements (element j -> bit j-1).  R and
+# its complement give the same circuits up to a global sign, so only half-masks
+# t (R = t << 1, element 1 unflipped) are tested and the tally is doubled.  The
+# test is bit-sliced: bit b of uint64 word w is half-mask 64w+b.  An element's
+# bit plane is set where t flips it; XOR ~0 when its circuit sign is +, it is
+# set where the element ends positive, and its complement where it ends
+# negative.  Saturating "at least i" counters per side mark level >= i, both
+# sides keeping i elements; R is k-neighborly when every circuit has k+1.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -356,10 +357,43 @@ def _mask_context(r: int, n: int) -> _MaskContext:
     )
 
 
+_BLOCK_BYTES = 128 << 10  # one bit plane of a batch of circuits; one table-row union
+# 0xAAAA..., 0xCCCC..., 0xF0F0..., ...: bit b of _LOW_PLANES[i] is bit i of b
+_LOW_PLANES = [sum(1 << b for b in range(64) if b >> i & 1) for i in range(6)]
+
+
 @lru_cache(maxsize=16)
 def _half_reorientation_masks(n: int) -> np.ndarray:
-    # all subsets of {2..n} as bitmasks (element 1 = bit 0 stays clear)
-    return np.arange(2 ** (n - 1), dtype=np.uint32) << np.uint32(1)
+    """(n, words) uint64: plane j, word w, bit b is column j's bit of half-mask 64w+b.
+
+    Plane 0 is zero (element 1 never flips); bits past 2^(n-1) pad the word when n < 7.
+    """
+    words = np.arange(max(1, (1 << (n - 1)) // 64), dtype=np.uint64)
+    planes = np.zeros((n, words.shape[0]), dtype=np.uint64)
+    planes[1:7] = np.array(_LOW_PLANES[: n - 1], dtype=np.uint64)[:, None]
+    for j in range(7, n):
+        planes[j] = -(words >> np.uint64(j - 7) & np.uint64(1))  # 0 or ~0
+    return planes
+
+
+def _valid_bits(n: int) -> np.uint64:
+    return ~np.uint64(0) if n >= 7 else np.uint64((1 << (1 << (n - 1))) - 1)
+
+
+def _at_least(signed: np.ndarray, elements: np.ndarray, positive: np.ndarray, m: int) -> np.ndarray:
+    """(m, B, words) bits: the half-masks at level >= 1..m on each of B circuits.
+
+    signed is the n bit planes, then their complements; elements and positive
+    are (r+1, B): the circuits' supports, and 1 where the sign is +.
+    """
+    side = positive[:, None] ^ np.array([[0], [1]], dtype=positive.dtype)
+    rows = elements[:, None] + len(signed) // 2 * side  # (r+1, 2, B): + side, - side
+    ge = np.zeros((m,) + rows.shape[1:] + signed.shape[1:], dtype=np.uint64)
+    for e, x in enumerate(signed.take(row, axis=0) for row in rows):  # ge[i]: i+1 per side
+        top = min(e, m - 1)
+        ge[1 : top + 1] |= ge[:top] & x  # the right side reads the old counters
+        ge[0] |= x
+    return ge[:, 0] & ge[:, 1]
 
 
 def _circuit_masks_from_entries(entries: np.ndarray, ctx: _MaskContext) -> np.ndarray:
@@ -374,35 +408,32 @@ def _circuit_masks_from_entries(entries: np.ndarray, ctx: _MaskContext) -> np.nd
     return pos + ctx.support_bits[:, 0]  # minimum element always +1
 
 
-_R_BLOCK = 1 << 13
-
-
 def _neighborliness_levels(
-    pos_masks: np.ndarray, support_masks: np.ndarray, n: int, r: int
+    pos_masks: np.ndarray, support_masks: np.ndarray, n: int, m: int
 ) -> np.ndarray:
-    """min over circuits of min(|positive side|, |negative side|), per half-mask.
+    """(m, words) bits: the half-masks at level >= 1..m on every circuit.
 
-    Level m means the reorientation is (m-1)-neighborly but not m-neighborly;
-    m = 0 means some circuit goes one-sided (not even acyclic).
+    Level i means (i-1)-neighborly; level 0, some circuit goes one-sided.
     """
-    reor = _half_reorientation_masks(n)
-    size = np.int8(r + 1)
-    out = np.empty(reor.shape[0], dtype=np.int8)
-    for lo in range(0, reor.shape[0], _R_BLOCK):
-        block = reor[lo : lo + _R_BLOCK]
-        x = support_masks[:, None] & block[None, :]
-        x ^= pos_masks[:, None]
-        cnt = np.bitwise_count(x).astype(np.int8)
-        np.minimum(cnt, size - cnt, out=cnt)
-        out[lo : lo + block.shape[0]] = cnt.min(axis=0)
+    on = (support_masks[:, None] >> np.arange(n, dtype=np.uint32)) & 1
+    elements = np.nonzero(on)[1].reshape(len(on), -1).T
+    positive = (pos_masks >> elements.astype(np.uint32)) & 1
+    planes = _half_reorientation_masks(n)
+    signed = np.concatenate([planes, ~planes])
+    out = np.full((m, planes.shape[1]), _valid_bits(n))
+    step = max(1, _BLOCK_BYTES // planes[0].nbytes)
+    for lo in range(0, elements.shape[1], step):
+        batch = _at_least(signed, elements[:, lo : lo + step], positive[:, lo : lo + step], m)
+        out &= np.bitwise_and.reduce(batch, axis=1)
     return out
 
 
 def _count_from_masks(
     pos_masks: np.ndarray, support_masks: np.ndarray, n: int, r: int, k: int
 ) -> int:
-    levels = _neighborliness_levels(pos_masks, support_masks, n, r)
-    return 2 * int(np.count_nonzero(levels >= k + 1))
+    m = min(k + 1, (r + 1) // 2 + 1)  # past (r+1)//2 the level set is empty
+    levels = _neighborliness_levels(pos_masks, support_masks, n, m)
+    return 2 * int(np.bitwise_count(levels[m - 1]).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +448,6 @@ def _count_from_masks(
 # outside that union is k-neighborly, which gives f = 2 (2^(n-1) - |union|).
 # ---------------------------------------------------------------------------
 
-_BLOCK_BYTES = 128 << 10  # union of table rows built by one violation_counts call
-
-
 def violation_table_nbytes(r: int, n: int) -> int:
     """Size of violation_table(r, n, k): C(n, r+1) x 2^r rows of 2^(n-1) bits."""
     return comb(n, r + 1) * (1 << r) * max(8, (1 << (n - 1)) // 8)
@@ -429,34 +457,23 @@ def violation_table(r: int, n: int, k: int) -> np.ndarray:
     """(C(n, r+1), 2^r, words) uint64 bitsets of violating half-masks.
 
     Half-mask t (reorientation t << 1) is bit t; words run past 2^(n-1)
-    bits only when n < 7, and those padding bits are zero.  Built one support
-    and one bounded group of patterns at a time.
+    bits only when n < 7, and those padding bits are zero.  Each (support,
+    pattern) row is one circuit for the counting kernel.
     """
     _require_countable(r, n)
-    if r > 14:
-        raise ValueError(f"violation tables index patterns with int16, so r <= 14; got r={r}")
     ctx = _mask_context(r, n)
-    size = r + 1
-    half = 1 << (n - 1)
-    local = np.arange(1 << size)
-    ones = np.bitwise_count(local)
-    violates = (ones <= k) | (ones >= size - k)
-    # positive elements of pattern p as local bits on the support
-    positive = (np.arange(1 << r, dtype=np.int16) << 1) | 1
-    step = max(1, (_BLOCK_BYTES << 3) // half)
-    table = np.zeros((ctx.supports.shape[0], 1 << r, max(1, half // 64)), dtype=np.uint64)
-    as_bytes = table.view(np.uint8)
-    t = np.arange(half, dtype=np.int64)
-    for c, support in enumerate(ctx.supports):
-        # the bits of every half-mask on this support; element 1 never flips
-        on_support = np.zeros(half, dtype=np.int16)
-        for i, col in enumerate(support):
-            if col:
-                on_support |= ((t >> (col - 1)) & 1).astype(np.int16) << i
-        for p in range(0, 1 << r, step):
-            bits = violates[positive[p : p + step, None] ^ on_support]
-            packed = np.packbits(bits, axis=1, bitorder="little")
-            as_bytes[c, p : p + step, : packed.shape[1]] = packed
+    m = min(k + 1, (r + 1) // 2 + 1)
+    # bit i of (p << 1) | 1 is + when pattern p makes support element i positive
+    positive = (np.arange(1 << r) << 1 | 1) >> np.arange(r + 1)[:, None] & 1
+    planes = _half_reorientation_masks(n)
+    signed = np.concatenate([planes, ~planes])
+    table = np.empty((ctx.supports.shape[0], 1 << r, planes.shape[1]), dtype=np.uint64)
+    flat = table.reshape(-1, planes.shape[1])
+    step = max(1, _BLOCK_BYTES // planes[0].nbytes)
+    for lo in range(0, flat.shape[0], step):
+        index = np.arange(lo, min(lo + step, flat.shape[0]))
+        at_least = _at_least(signed, ctx.supports[index >> r].T, positive[:, index % (1 << r)], m)
+        flat[lo : lo + index.shape[0]] = ~at_least[m - 1] & _valid_bits(n)
     return table
 
 
@@ -474,7 +491,7 @@ def violation_counts(
     where the batch axis is the contiguous one.
     """
     r, n = ctx.rank, ctx.ground_size
-    dtype = np.uint8 if r <= 8 else np.uint16
+    dtype = np.uint8 if r <= 8 else np.uint16 if r <= 16 else np.uint32
     # With all entries +1 the circuit signs alternate +,-,+,...  A -1 that
     # step i reads (row i, at j_{i+1} or j_{i+2}) flips the signs at
     # j_{i+2}..j_{r+1}, which are pattern bits i..r-1.
@@ -503,6 +520,12 @@ def _require_countable(r: int, n: int) -> None:
         raise ValueError(f"exhaustive counting supports at most n={MAX_EXHAUSTIVE_ELEMENTS} elements")
 
 
+def _matrix_masks(A: SignMatrix) -> tuple[np.ndarray, np.ndarray]:
+    _require_countable(A.rows, A.cols)
+    ctx = _mask_context(A.rows, A.cols)
+    return _circuit_masks_from_entries(A.to_array(), ctx), ctx.support_masks
+
+
 def count_k_neighborly_reorientations(A: SignMatrix, k: int) -> int:
     """Number of column subsets R whose reorientation of A is k-neighborly.
 
@@ -512,23 +535,15 @@ def count_k_neighborly_reorientations(A: SignMatrix, k: int) -> int:
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    r, n = A.rows, A.cols
-    _require_countable(r, n)
-    ctx = _mask_context(r, n)
-    pos = _circuit_masks_from_entries(A.to_array(), ctx)
-    return _count_from_masks(pos, ctx.support_masks, n, r, k)
+    return _count_from_masks(*_matrix_masks(A), A.cols, A.rows, k)
 
 
 def o_vector(A: SignMatrix) -> OVector:
     """Histogram of reorientation subsets by their exact neighborliness level."""
-    r, n = A.rows, A.cols
-    _require_countable(r, n)
-    ctx = _mask_context(r, n)
-    pos = _circuit_masks_from_entries(A.to_array(), ctx)
-    levels = _neighborliness_levels(pos, ctx.support_masks, n, r)
-    width = (r - 1) // 2 + 1
-    counts = np.bincount(levels, minlength=width + 1)
-    return OVector(tuple(2 * int(c) for c in counts[1 : width + 1]))
+    width = (A.rows - 1) // 2 + 1
+    levels = _neighborliness_levels(*_matrix_masks(A), A.cols, width)
+    at_least = [2 * int(c) for c in np.bitwise_count(levels).sum(axis=1)] + [0]
+    return OVector(tuple(at_least[i] - at_least[i + 1] for i in range(width)))
 
 
 # ---------------------------------------------------------------------------
@@ -602,25 +617,10 @@ def circuits_from_chirotope(T: ChirotopeTable) -> list[SignedCircuit]:
     return out
 
 
-def _masks_from_circuits(
-    circuits: Iterable[SignedCircuit], n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    supports = []
-    positives = []
-    for c in circuits:
-        s = 0
-        p = 0
-        for e, sign in zip(c.support, c.signs):
-            bit = 1 << (e - 1)
-            s |= bit
-            if sign > 0:
-                p |= bit
-        supports.append(s)
-        positives.append(p)
-    return (
-        np.array(positives, dtype=np.uint32),
-        np.array(supports, dtype=np.uint32),
-    )
+def _masks_from_circuits(circuits: list[SignedCircuit]) -> tuple[np.ndarray, np.ndarray]:
+    pos = [sum(1 << (e - 1) for e in c.positive_part) for c in circuits]
+    sup = [sum(1 << (e - 1) for e in c.support) for c in circuits]
+    return np.array(pos, dtype=np.uint32), np.array(sup, dtype=np.uint32)
 
 
 def count_k_neighborly_reorientations_chirotope(T: ChirotopeTable, k: int) -> int:
@@ -629,5 +629,5 @@ def count_k_neighborly_reorientations_chirotope(T: ChirotopeTable, k: int) -> in
         raise ValueError("k must be non-negative")
     r, n = T.rank, T.ground_size
     _require_countable(r, n)
-    pos, sup = _masks_from_circuits(circuits_from_chirotope(T), n)
+    pos, sup = _masks_from_circuits(circuits_from_chirotope(T))
     return _count_from_masks(pos, sup, n, r, k)

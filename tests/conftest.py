@@ -30,11 +30,14 @@ def brute_force_count(A: SignMatrix, k: int) -> int:
     return sum(1 for R in all_subsets(A.cols) if is_k_neighborly_circuits(A, R, k))
 
 
-def brute_force_neighborliness(A: SignMatrix, R) -> int:
-    """Oracle: min over circuits of min(|positive side|, |negative side|)."""
+def brute_force_neighborliness(A: SignMatrix, R, circuits) -> int:
+    """Oracle: min over the circuits of A of min(|positive side|, |negative side|).
+
+    ``circuits`` is ``all_circuits(A)``, computed once per matrix by the caller.
+    """
     flip = set(R)
     best = A.rows + 1
-    for c in all_circuits(A):
+    for c in circuits:
         pos = sum(1 for e, s in zip(c.support, c.signs) if (s > 0) != (e in flip))
         best = min(best, pos, len(c.support) - pos)
     return best
@@ -43,9 +46,10 @@ def brute_force_neighborliness(A: SignMatrix, R) -> int:
 def brute_force_o_vector(A: SignMatrix) -> tuple[int, ...]:
     """Oracle: histogram every subset by its exact neighborliness level."""
     width = (A.rows - 1) // 2 + 1
+    circuits = all_circuits(A)
     out = [0] * width
     for R in all_subsets(A.cols):
-        m = brute_force_neighborliness(A, R)
+        m = brute_force_neighborliness(A, R, circuits)
         if m >= 1:
             out[m - 1] += 1
     return tuple(out)
@@ -53,10 +57,11 @@ def brute_force_o_vector(A: SignMatrix) -> tuple[int, ...]:
 
 def brute_force_acyclic_subsets(A: SignMatrix) -> set[frozenset[int]]:
     """Oracle: subsets whose reorientation leaves every circuit two-sided."""
+    circuits = all_circuits(A)
     return {
         frozenset(R)
         for R in all_subsets(A.cols)
-        if brute_force_neighborliness(A, R) >= 1
+        if brute_force_neighborliness(A, R, circuits) >= 1
     }
 
 

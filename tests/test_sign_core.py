@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from contextlib import contextmanager
 from itertools import combinations
 from math import comb
 
@@ -13,6 +15,7 @@ from conftest import (
     brute_force_o_vector,
     random_matrix,
 )
+import lomlab.sign_core as sign_core
 from lomlab.chessboard import class_count, representative_entries, representative_of_index
 from lomlab.formulas import total_plain_travels
 from lomlab.sign_core import (
@@ -40,6 +43,7 @@ from lomlab.sign_core import (
     violation_table,
     violation_table_nbytes,
 )
+from lomlab.travels import f_via_travels
 
 
 @st.composite
@@ -506,3 +510,89 @@ class TestViolationTable:
         entries = np.stack([A.to_array(), reorient_columns(A, {1}).to_array()])
         want = count_k_neighborly_reorientations(A, k)
         assert self.table_counts(A.rows, A.cols, k, entries).tolist() == [want, want]
+
+
+# the default batches, one circuit per batch, and uneven last batches
+BLOCK_BYTES = (None, 8, 1000)
+
+
+@contextmanager
+def block_bytes(value):
+    with pytest.MonkeyPatch.context() as m:
+        if value is not None:
+            m.setattr(sign_core, "_BLOCK_BYTES", value)
+        yield
+
+
+class TestBitSlicedKernel:
+    """The 64-half-masks-per-word count against the brute-force oracles and the
+    travels engine, which share no code with it, and against the chirotope route."""
+
+    # n < 7 leaves padding bits in the one word, n = 7 fills it, n = 8 takes two
+    SHAPES = [(2, 4), (3, 5), (2, 6), (4, 6), (2, 7), (5, 7), (6, 8), (7, 8)]
+
+    @pytest.mark.parametrize("r,n", SHAPES)
+    def test_every_class_matches_oracle(self, r, n):
+        for index in range(class_count(r, n)):
+            A = representative_of_index(r, n, index)
+            want = brute_force_o_vector(A)
+            for value in BLOCK_BYTES:
+                with block_bytes(value):
+                    assert o_vector(A).entries == want
+                    for k in range(len(want) + 1):
+                        assert count_k_neighborly_reorientations(A, k) == sum(want[k:])
+        # the second oracle, on the last class only: it tests subsets one by one
+        for k in range(len(want) + 1):
+            assert count_k_neighborly_reorientations(A, k) == brute_force_count(A, k)
+
+    @given(sign_matrices(min_r=2, max_r=7, max_n=12), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_travels_and_chirotope(self, A, data):
+        k = data.draw(st.integers(0, (A.rows - 1) // 2))
+        want = f_via_travels(A, k)
+        assert count_k_neighborly_reorientations_chirotope(chirotope_from_matrix(A), k) == want
+        for value in BLOCK_BYTES:
+            with block_bytes(value):
+                assert count_k_neighborly_reorientations(A, k) == want
+                assert o_vector(A).count_at_least(k) == want
+
+    def test_memory_stays_within_batches(self):
+        # a scan of every (circuit, half-mask) pair would hold C(14,6) * 2^13 * 4 B = 98 MB
+        A = reorient_columns(alternating_matrix(5, 14), {2, 7, 11})
+        count_k_neighborly_reorientations(A, 1)  # fill the caches
+        tracemalloc.start()
+        try:
+            count_k_neighborly_reorientations(A, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+
+
+def popcount_table(r, n, k):
+    """violation_table from its definition: popcount(P ^ (S & R)) <= k or >= r+1-k."""
+    half = 1 << (n - 1)
+    reorientations = np.arange(half, dtype=np.int64) << 1
+    bit_of_word = np.arange(min(64, half), dtype=np.uint64)
+    rows = []
+    for support in combinations(range(n), r + 1):
+        S = sum(1 << e for e in support)
+        for p in range(1 << r):
+            P = (1 << support[0]) | sum(1 << e for i, e in enumerate(support[1:]) if p >> i & 1)
+            ones = np.bitwise_count(P ^ (S & reorientations))
+            bad = ((ones <= k) | (ones >= r + 1 - k)).astype(np.uint64)
+            rows.append((bad.reshape(-1, bit_of_word.shape[0]) << bit_of_word).sum(axis=1))
+    return np.array(rows, dtype=np.uint64).reshape(comb(n, r + 1), 1 << r, -1)
+
+
+@pytest.mark.parametrize(
+    "r,n,k", [(2, 3, 0), (2, 5, 0), (3, 5, 1), (4, 7, 1), (3, 8, 1), (4, 8, 3), (5, 9, 2)]
+)
+def test_violation_table_is_the_popcount_definition(r, n, k):
+    want = popcount_table(r, n, k)
+    for value in BLOCK_BYTES:
+        with block_bytes(value):
+            table = violation_table(r, n, k)
+        assert table.dtype == want.dtype and table.shape == want.shape
+        assert np.array_equal(table, want)  # padding bits included
+
