@@ -477,16 +477,66 @@ def violation_table(r: int, n: int, k: int) -> np.ndarray:
     return table
 
 
-def violation_block_size(table: np.ndarray) -> int:
-    """Matrices per violation_counts call that keep its row union under a fixed cap."""
-    return max(1, _BLOCK_BYTES // (table.shape[2] * table.itemsize))
+# ---------------------------------------------------------------------------
+# first-row runs
+#
+# Classes whose indices differ only in the low w bits (chessboard squares
+# (1,2)..(1,w+1)) have matrices that differ only in row 1: reorienting
+# row-1 entries flips exactly those squares.  Flipping square (1,j) negates
+# row 1 right of column j, so column j is negated when the prefix XOR of the
+# flipped squares left of it is odd; columns 1..2 share parity class 0,
+# column j the class min(j-2, w).  Row 1 enters a circuit's signs only at
+# its first step, so a support (j1, j2, ...) keeps its pattern when j1 and j2
+# take the same negation and otherwise takes the complement.  A run of 2^w
+# aligned classes therefore needs two table rows per support: they are
+# OR-ed into one union per (class of j1, class of j2) pair and pattern
+# variant, supports inside one class into a fixed union, and each class is
+# its fixed union OR one union per pair.
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=64)
+def _run_plan(r: int, n: int, width: int) -> tuple:
+    """Supports grouped by the union they are OR-ed into.
+
+    Returns the supports, sorted by union, fixed ones first; the table row
+    of each one's pattern 0, as (C, 1) int32; (first slot, first support,
+    end support) of each union; and the parity classes a < b of j1 and j2
+    of each pair.  Slot 0 is the fixed union; pair p owns slots 1+2p
+    (pattern kept) and 2+2p (pattern complemented).
+    """
+    parity_class = np.clip(np.arange(n) - 1, 0, width)  # of each 0-based column
+    supports = _mask_context(r, n).supports
+    a, b = parity_class[supports[:, 0]], parity_class[supports[:, 1]]
+    pairs, pair_of = np.unique(np.stack([a, b], axis=1)[a < b], axis=0, return_inverse=True)
+    slot = np.zeros(supports.shape[0], dtype=np.int64)
+    slot[a < b] = 1 + 2 * pair_of.reshape(-1)
+    order = np.argsort(slot, kind="stable")
+    firsts = [0, *range(1, 2 * len(pairs), 2)]
+    starts, ends = (np.searchsorted(slot[order], firsts, side=side) for side in ("left", "right"))
+    groups = tuple(g for g in zip(firsts, starts.tolist(), ends.tolist()) if g[2] > g[1])
+    first_rows = (order << r).astype(np.int32)[:, None]
+    return supports[order], first_rows, groups, pairs.reshape(-1, 2)
+
+
+def violation_block_size(table: np.ndarray, width: int = 0) -> int:
+    """Runs of 2^width classes per violation_counts call.
+
+    One support's gathered rows, one per run and pattern variant, stay under
+    a fixed cap; so do the rows of each step of the per-class combine.
+    """
+    variants = 2 if width else 1
+    return max(1, _BLOCK_BYTES // (variants * table.shape[2] * table.itemsize))
 
 
 def violation_counts(
-    table: np.ndarray, entries: np.ndarray, ctx: _MaskContext
+    table: np.ndarray, entries: np.ndarray, ctx: _MaskContext, width: int = 0
 ) -> np.ndarray:
-    """k-neighborly reorientation count of each (B, r, n) int8 sign matrix.
+    """k-neighborly reorientation count of each class in B runs of 2^width classes.
 
+    ``entries`` is (B, r, n) int8: the canonical matrix of each run's first
+    class, whose index must be a multiple of 2^width, with
+    width <= n - r - 1.  The result holds B * 2^width counts in index order;
+    with width 0 every matrix is its own run and may hold any signs.
     Fastest on the layout ``chessboard.representative_entries`` returns,
     where the batch axis is the contiguous one.
     """
@@ -500,16 +550,45 @@ def violation_counts(
     by_entry = entries.transpose(1, 2, 0)
     flips = np.where(by_entry < 0, tails[:, None, None], dtype(0)).reshape(r * n, -1)
     patterns = np.full((ctx.supports.shape[0], flips.shape[1]), base, dtype=dtype)
+    supports, first_rows, groups, pairs = _run_plan(r, n, width)
     rows_at = np.arange(r) * n
-    for ends in (ctx.supports[:, :-1], ctx.supports[:, 1:]):
+    for ends in (supports[:, :-1], supports[:, 1:]):
         for index in (rows_at + ends).T:  # row i at one end of step i
             patterns ^= flips[index]
-    union = table[0].take(patterns[0], axis=0)
-    rows = np.empty_like(union)
-    for c in range(1, table.shape[0]):
-        table[c].take(patterns[c], axis=0, out=rows)
-        union |= rows
-    violators = np.bitwise_count(union).sum(axis=1, dtype=np.int64)
+    runs, words = patterns.shape[1], table.shape[2]
+    keys = np.concatenate([patterns, patterns ^ dtype((1 << r) - 1)], axis=1) + first_rows
+    flat = table.reshape(-1, words)
+    unions = np.zeros(((2 * pairs.shape[0] + 1) * runs, words), dtype=np.uint64)
+    per = max(1, _BLOCK_BYTES // (2 * runs * words * 8))  # supports per gather
+    gathered = np.empty((min(per, keys.shape[0]) * keys.shape[1], words), dtype=np.uint64)
+    for s, start, end in groups:  # one gather holds as many supports as fit the cap
+        variants = 2 if s else 1
+        target = unions[s * runs : (s + variants) * runs]
+        for lo in range(start, end, per):
+            index = keys[lo : min(end, lo + per), : variants * runs]
+            rows = flat.take(index.reshape(-1), axis=0, out=gathered[: index.size])
+            if index.shape[0] > 1:
+                rows = np.bitwise_or.reduce(rows.reshape(index.shape[0], -1, words), axis=0)
+            target |= rows
+    # offset o of a run flips squares (1, 2)..(1, width+1) as its bits say;
+    # parity class g is negated by the parity of the bits below g
+    unions = unions.reshape(-1, runs, words)
+    offsets = 1 << width
+    step = max(1, _BLOCK_BYTES // (runs * words * 8))  # offsets per step
+    below = (1 << np.arange(width + 1))[:, None] - 1
+    kept = (1 + 2 * np.arange(pairs.shape[0]))[:, None]
+    violators = np.empty((offsets, runs), dtype=np.int64)
+    buffers = np.empty((2, min(step, offsets), runs, words), dtype=np.uint64)
+    for lo in range(0, offsets, step):
+        o = np.arange(lo, min(offsets, lo + step))
+        parity = np.bitwise_count(below & o) & 1
+        out, part = buffers[:, : o.shape[0]]
+        out[:] = unions[0]
+        for slots in kept + (parity[pairs[:, 0]] ^ parity[pairs[:, 1]]):
+            unions.take(slots, axis=0, out=part)
+            out |= part
+        violators[lo : lo + o.shape[0]] = np.bitwise_count(out).sum(axis=2, dtype=np.int64)
+    violators = violators.T.reshape(-1)
     return 2 * ((1 << (n - 1)) - violators)
 
 

@@ -314,17 +314,28 @@ def _evaluate_class(rt: _Runtime, index: int) -> int:
 
 
 def _run_table_chunk(rt: _Runtime, lo: int, hi: int) -> tuple[Counter, int | None]:
+    """Count [lo, hi) in aligned runs of chessboard row 1, the ends cut from a run one by one.
+
+    Any aligned power-of-two part of a run is itself a run, so a chunk
+    shorter than a run is counted in the longest runs that fit it.
+    """
     if rt.table is None:
         rt.table = sign_core.violation_table(rt.rank, rt.elements, rt.k)
-    step = sign_core.violation_block_size(rt.table)
+    width = min(rt.elements - rt.rank - 1, (hi - lo).bit_length() - 1)
+    size = 1 << width
+    body_lo = min(hi, -(-lo // size) * size)
+    body_hi = max(body_lo, hi // size * size)
     counts = np.zeros((1 << rt.elements) + 1, dtype=np.int64)
     alternating_f = None
-    for a in range(lo, hi, step):
-        entries = representative_entries(rt.rank, rt.elements, np.arange(a, min(hi, a + step)))
-        fs = sign_core.violation_counts(rt.table, entries, rt.ctx)
-        counts += np.bincount(fs, minlength=counts.shape[0])
-        if a == 0:
-            alternating_f = int(fs[0])
+    for a, b, w in ((lo, body_lo, 0), (body_lo, body_hi, width), (body_hi, hi, 0)):
+        step = sign_core.violation_block_size(rt.table, w) << w
+        for start in range(a, b, step):
+            firsts = np.arange(start, min(b, start + step), 1 << w)
+            entries = representative_entries(rt.rank, rt.elements, firsts)
+            fs = sign_core.violation_counts(rt.table, entries, rt.ctx, w)
+            counts += np.bincount(fs, minlength=counts.shape[0])
+            if start == 0:
+                alternating_f = int(fs[0])
     hist = Counter({int(f): int(counts[f]) for f in np.flatnonzero(counts)})
     return hist, alternating_f
 

@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .sign_core import SignMatrix, reorient_columns
+from .sign_core import SignMatrix
 
 __all__ = [
     "Travel",
@@ -185,19 +185,22 @@ def realize_plain_travel(A: SignMatrix, P: PlainTravel) -> tuple[SignMatrix, fro
         raise ValueError(f"drop column {drops[-1]} out of range 2..{n}")
     drop_set = frozenset(drops)
     flips = []
-    row = 1
-    s_prev = 1  # column 1 is never flipped
+    entries = A.entries
+    row = entries[0]
+    below = iter(entries[1:])
+    s = 1  # column 1 is never flipped
     for c in range(2, n + 1):
-        want_flip = c in drop_set
-        s = s_prev * A.sign(row, c - 1) * A.sign(row, c)
-        if want_flip:
+        s *= row[c - 2] * row[c - 1]
+        if c in drop_set:
             s = -s
-            row += 1
+            row = next(below)
         if s < 0:
             flips.append(c)
-        s_prev = s
     R = frozenset(flips)
-    return reorient_columns(A, R), R
+    if not R:
+        return A, R
+    sign = [-1 if c in R else 1 for c in range(1, n + 1)]
+    return SignMatrix(tuple(tuple(v * f for v, f in zip(line, sign)) for line in entries)), R
 
 
 def _subset_masks(first: int, width: int, most: int) -> np.ndarray:
@@ -214,11 +217,14 @@ def _boundary(flips: np.ndarray, n: int) -> np.ndarray:
     return (flips ^ (flips << 1)) & ((1 << n) - 2)
 
 
-def _no_positive_walk(walks: np.ndarray, reach: np.ndarray) -> np.ndarray:
+def _no_positive_walk(walks: np.ndarray, reach: np.ndarray, out: np.ndarray) -> np.ndarray:
     """For each travel (column of ``walks``, its rows' change masks), whether
-    the top travel stays non-positive under every boundary in ``reach``."""
-    m = walks[0, :, None] ^ reach  # mismatch columns right of column 1 in row 1
-    above = np.empty_like(m)
+    the top travel stays non-positive under every boundary in ``reach``.
+
+    ``out`` is two (travels, sets) int64 grids to work in.
+    """
+    m, above = out
+    np.bitwise_xor(walks[0, :, None], reach, out=m)  # mismatch columns right of column 1 in row 1
     for row_changes in walks[1:]:
         np.negative(m, out=above)
         above ^= m  # columns right of each walk's drop column; 0 once it ended
@@ -271,12 +277,20 @@ def count_k_neighborly_plain_travels(A: SignMatrix, k: int) -> int:
     walks = changes[:, None] ^ _boundary(flips, n)  # (r, travels)
     sets = _subset_masks(0, n, k)
     sets = sets[np.argsort(np.bitwise_count(sets), kind="stable")]
+    # one pair of grids serves every block: a block holds at most every travel
+    # x SET_GROUP sets, and at most GRID_MAX_PAIRS pairs or one travel's sets
+    grids = np.empty(
+        (2, min(walks.shape[1] * SET_GROUP, max(GRID_MAX_PAIRS, SET_GROUP))), dtype=np.int64
+    )
     for lo in range(0, sets.shape[0], SET_GROUP):
         reach = _boundary(sets[lo:lo + SET_GROUP], n)
         block = max(1, GRID_MAX_PAIRS // reach.shape[0])
         keep = np.empty(walks.shape[1], dtype=bool)
         for t in range(0, walks.shape[1], block):
-            keep[t:t + block] = _no_positive_walk(walks[:, t:t + block], reach)
+            part = walks[:, t:t + block]
+            cells = part.shape[1] * reach.shape[0]
+            out = grids[:, :cells].reshape(2, part.shape[1], reach.shape[0])
+            keep[t:t + block] = _no_positive_walk(part, reach, out)
         walks = walks[:, keep]
     return walks.shape[1]
 

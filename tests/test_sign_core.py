@@ -596,3 +596,79 @@ def test_violation_table_is_the_popcount_definition(r, n, k):
         assert table.dtype == want.dtype and table.shape == want.shape
         assert np.array_equal(table, want)  # padding bits included
 
+
+class TestFirstRowRuns:
+    """Counting aligned runs of chessboard row 1 against one class at a time."""
+
+    # r = 2: one run is the whole space; n = r+1: runs of one class
+    SHAPES = [(3, 6, 1), (4, 8, 1), (5, 9, 2), (3, 9, 1), (2, 7, 0), (3, 4, 0), (4, 5, 1)]
+
+    @pytest.mark.parametrize("r,n,k", SHAPES)
+    def test_every_class_every_width(self, r, n, k):
+        ctx = _mask_context(r, n)
+        table = violation_table(r, n, k)
+        entries = representative_entries(r, n, range(class_count(r, n)))
+        want = [
+            _count_from_masks(_circuit_masks_from_entries(e, ctx), ctx.support_masks, n, r, k)
+            for e in entries
+        ]
+        assert violation_counts(table, entries, ctx).tolist() == want
+        if r == 2:
+            assert class_count(r, n) == 1 << (n - r - 1)
+        for width in range(n - r):
+            firsts = representative_entries(r, n, range(0, class_count(r, n), 1 << width))
+            for value in BLOCK_BYTES:
+                with block_bytes(value):
+                    got = violation_counts(table, firsts, ctx, width)
+                assert got.tolist() == want, (width, value)
+
+    def test_run_in_the_middle_of_the_space(self):
+        # runs need only be aligned, not start at class 0
+        r, n, k = 5, 10, 2
+        ctx, table = _mask_context(r, n), violation_table(r, n, k)
+        lo, width = 3 << 4, 4
+        want = violation_counts(table, representative_entries(r, n, range(lo, lo + 64)), ctx)
+        firsts = representative_entries(r, n, range(lo, lo + 64, 1 << width))
+        assert np.array_equal(violation_counts(table, firsts, ctx, width), want)
+
+    def test_long_run_stays_within_batches(self):
+        # one run of 4096 classes: a row union per class of the run would
+        # hold 8 MB, and every pair's union gathered for every class 650 MB
+        r, n, k, width = 2, 15, 0, 12
+        ctx, table = _mask_context(r, n), violation_table(r, n, k)
+        first = representative_entries(r, n, [0])
+        violation_counts(table, first, ctx, width)  # fill the caches
+        tracemalloc.start()
+        try:
+            got = violation_counts(table, first, ctx, width)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+        sample = np.arange(0, 1 << width, 61)
+        want = violation_counts(table, representative_entries(r, n, sample), ctx)
+        assert np.array_equal(got[sample], want)
+
+
+@st.composite
+def edge_cases(draw):
+    """A matrix and k at an edge: n = r+1, r = 2, or k = (r-1)//2 and one above."""
+    edge = draw(st.sampled_from(["n = r+1", "r = 2", "largest k"]))
+    r = 2 if edge == "r = 2" else draw(st.integers(2, 7))
+    n = r + 1 if edge == "n = r+1" else draw(st.integers(r + 1, 10))
+    top = (r - 1) // 2
+    k = draw(st.sampled_from([top, top + 1]) if edge == "largest k" else st.integers(0, top + 1))
+    sign = st.sampled_from([1, -1])
+    rows = draw(st.lists(st.lists(sign, min_size=n, max_size=n), min_size=r, max_size=r))
+    return SignMatrix.from_rows(rows), k
+
+
+@given(edge_cases())
+@settings(max_examples=60, deadline=None)
+def test_engines_agree_on_edge_shapes(case):
+    A, k = case
+    want = count_k_neighborly_reorientations(A, k)
+    assert f_via_travels(A, k) == want
+    assert count_k_neighborly_reorientations_chirotope(chirotope_from_matrix(A), k) == want
+    if k > (A.rows - 1) // 2:
+        assert want == 0  # a circuit of r+1 elements cannot keep k+1 on each side

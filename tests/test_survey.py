@@ -178,6 +178,22 @@ class TestTableEngine:
             monkeypatch, SurveyConfig(4, 7, 1)
         )
 
+    # runs of chessboard row 1 span 2^3 classes at (4,8) and 2^5 at (3,9)
+    @pytest.mark.parametrize("r,n,k", [(4, 8, 1), (3, 9, 1)])
+    @pytest.mark.parametrize("chunk_size", [5, 7, 4096])
+    def test_runs_cut_by_chunk_edges(self, monkeypatch, r, n, k, chunk_size):
+        cfg = SurveyConfig(r, n, k, chunk_size=chunk_size)
+        assert result_fingerprint(run_survey(cfg)) == self.mask_path(monkeypatch, cfg)
+
+    @pytest.mark.parametrize("lo,hi", [(3, 250), (33, 95), (70, 90)])
+    def test_runs_cut_by_the_range(self, monkeypatch, lo, hi):
+        cfg = SurveyConfig(3, 9, 1, chunk_size=40, index_range=(lo, hi))
+        assert result_fingerprint(run_survey(cfg)) == self.mask_path(monkeypatch, cfg)
+
+    def test_runs_on_a_pool(self, monkeypatch):
+        cfg = SurveyConfig(3, 9, 1, threads=2, chunk_size=7, index_range=(5, 251))
+        assert result_fingerprint(run_survey(cfg)) == self.mask_path(monkeypatch, cfg)
+
 
 class TestSelfChecks:
     def write(self, path, cfg, chunks, hist, alternating):
