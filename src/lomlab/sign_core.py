@@ -446,6 +446,14 @@ def _count_from_masks(
 # under pattern p, one bit per half-mask packed into uint64 words, so a
 # matrix's violators are the OR of one row per support.  Every half-mask
 # outside that union is k-neighborly, which gives f = 2 (2^(n-1) - |union|).
+#
+# A violation depends on popcount(P ^ (R & S)) only, and setting pattern bit
+# e-1 flips the bit of P at j_{e+1} just as reorienting that column does.  So
+# the row with that bit set is the row without it read at half-mask t ^ 2^b,
+# where b = j_{e+1} - 2 is the column's half-mask bit: only pattern 0 goes
+# through the counting kernel, and patterns 2^(e-1)..2^e-1 are translates of
+# patterns 0..2^(e-1)-1.  For b < 6 a translate swaps bits within each word,
+# for b >= 6 it swaps words 2^(b-6) apart.
 # ---------------------------------------------------------------------------
 
 def violation_table_nbytes(r: int, n: int) -> int:
@@ -457,24 +465,65 @@ def violation_table(r: int, n: int, k: int) -> np.ndarray:
     """(C(n, r+1), 2^r, words) uint64 bitsets of violating half-masks.
 
     Half-mask t (reorientation t << 1) is bit t; words run past 2^(n-1)
-    bits only when n < 7, and those padding bits are zero.  Each (support,
-    pattern) row is one circuit for the counting kernel.
+    bits only when n < 7, and those padding bits are zero.  Pattern 0 of
+    each support is one circuit for the counting kernel; every other
+    pattern is a translate of it.
     """
     _require_countable(r, n)
     ctx = _mask_context(r, n)
     m = min(k + 1, (r + 1) // 2 + 1)
-    # bit i of (p << 1) | 1 is + when pattern p makes support element i positive
-    positive = (np.arange(1 << r) << 1 | 1) >> np.arange(r + 1)[:, None] & 1
     planes = _half_reorientation_masks(n)
     signed = np.concatenate([planes, ~planes])
-    table = np.empty((ctx.supports.shape[0], 1 << r, planes.shape[1]), dtype=np.uint64)
-    flat = table.reshape(-1, planes.shape[1])
+    supports = ctx.supports
+    table = np.empty((supports.shape[0], 1 << r, planes.shape[1]), dtype=np.uint64)
+    only_first = (np.arange(r + 1) == 0).astype(np.int64)[:, None]  # pattern 0: j_1 alone is +
     step = max(1, _BLOCK_BYTES // planes[0].nbytes)
-    for lo in range(0, flat.shape[0], step):
-        index = np.arange(lo, min(lo + step, flat.shape[0]))
-        at_least = _at_least(signed, ctx.supports[index >> r].T, positive[:, index % (1 << r)], m)
-        flat[lo : lo + index.shape[0]] = ~at_least[m - 1] & _valid_bits(n)
+    for lo in range(0, supports.shape[0], step):
+        elements = supports[lo : lo + step].T
+        at_least = _at_least(signed, elements, np.broadcast_to(only_first, elements.shape), m)
+        table[lo : lo + step, 0] = ~at_least[m - 1] & _valid_bits(n)
+    _translate_patterns(table, supports)
     return table
+
+
+def _translate_patterns(table: np.ndarray, supports: np.ndarray) -> None:
+    """Fill patterns 1..2^r-1 of every support from its pattern 0 by doubling."""
+    count, patterns, words = table.shape
+    bit = supports[:, 1:] - 1  # (C, r): half-mask bit of the column of each pattern bit
+    in_word = bit < 6
+    # bit b of the translate is bit b ^ s of the row:
+    # ((x & upper) >> s) | ((x & ~upper) << s), which is x when s = 0
+    shift = np.where(in_word, 1 << np.minimum(bit, 5), 0).astype(np.uint64)
+    upper = np.array(_LOW_PLANES, dtype=np.uint64)[np.minimum(bit, 5)]
+    word_xor = np.where(in_word, 0, 1 << np.maximum(bit - 6, 0))
+    flat, word = table.reshape(-1), np.arange(words)
+    support_at = np.arange(count)[:, None] * (patterns * words)
+    cap = max(patterns // 2 * words, _BLOCK_BYTES // 8)  # words per batch, one support at least
+    index = np.empty(cap, dtype=np.int64)
+    moved, part = np.empty((2, cap), dtype=np.uint64)
+    for e in range(patterns.bit_length() - 1):  # pattern bit e
+        half = 1 << e
+        per = max(1, cap // (half * words))  # supports per batch
+        pattern_at = np.arange(half)[:, None] * words
+        for lo in range(0, count, per):
+            source, target = table[lo : lo + per, :half], table[lo : lo + per, half : 2 * half]
+            size, shape = source.size, source.shape
+            xor = word_xor[lo : lo + per, e, None]
+            if xor.any():
+                at = (support_at[lo : lo + per] + (word ^ xor))[:, None]
+                at = np.add(at, pattern_at, out=index[:size].reshape(shape))
+                # every index is in range; "wrap" skips the buffered bounds check
+                source = np.take(flat, at, out=moved[:size].reshape(shape), mode="wrap")
+            s = shift[lo : lo + per, e, None, None]
+            if s.any():
+                mask = upper[lo : lo + per, e, None, None]
+                low = np.bitwise_and(source, mask, out=part[:size].reshape(shape))
+                low >>= s
+                np.bitwise_and(source, ~mask, out=target)
+                target <<= s
+                target |= low
+            else:
+                target[...] = source
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -313,15 +314,24 @@ def _evaluate_class(rt: _Runtime, index: int) -> int:
     return travels.f_via_travels(A, rt.k)
 
 
-def _run_table_chunk(rt: _Runtime, lo: int, hi: int) -> tuple[Counter, int | None]:
-    """Count [lo, hi) in aligned runs of chessboard row 1, the ends cut from a run one by one.
+def _run_width(r: int, n: int, length: int) -> int:
+    """Width of the runs that count a chunk of ``length`` classes.
 
-    Any aligned power-of-two part of a run is itself a run, so a chunk
-    shorter than a run is counted in the longest runs that fit it.
+    Any aligned power-of-two part of a run of chessboard row 1 is itself a
+    run.  Per class, runs of 2^w classes gather 2 C(n, r+1) / 2^w table rows
+    and OR one union per pair of the w+1 parity classes; of the widths that
+    fit the chunk and row 1, this takes the one with the fewest.
     """
+    supports = comb(n, r + 1)
+    widest = min(n - r - 1, length.bit_length() - 1)
+    return min(range(widest + 1), key=lambda w: 2 * supports / (1 << w) + w * (w + 1) / 2)
+
+
+def _run_table_chunk(rt: _Runtime, lo: int, hi: int) -> tuple[Counter, int | None]:
+    """Count [lo, hi) in aligned runs of chessboard row 1, the ends cut from a run one by one."""
     if rt.table is None:
         rt.table = sign_core.violation_table(rt.rank, rt.elements, rt.k)
-    width = min(rt.elements - rt.rank - 1, (hi - lo).bit_length() - 1)
+    width = _run_width(rt.rank, rt.elements, hi - lo)
     size = 1 << width
     body_lo = min(hi, -(-lo // size) * size)
     body_hi = max(body_lo, hi // size * size)

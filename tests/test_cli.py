@@ -1,9 +1,16 @@
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
+import lomlab
 import lomlab.survey as survey_module
+from lomlab.chessboard import class_count
 from lomlab.cli import main
-from lomlab.survey import SurveyPreset
+from lomlab.survey import SurveyConfig, SurveyPreset, load_checkpoint, run_survey
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -295,3 +302,37 @@ class TestErrorHandling:
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
         assert run_cli(capsys, "survey", "--help")[0] == 0
+
+
+class TestKillAndResume:
+    """A survey killed mid-run resumes from its checkpoint to a clean run's JSON."""
+
+    def test_sigkill_then_resume(self, tmp_path):
+        checkpoint = tmp_path / "survey.ckpt"
+        cmd = [
+            sys.executable, "-m", "lomlab.cli", "survey", "--rank", "7", "--elements", "11",
+            "--k", "2", "--chunk-size", "64", "--checkpoint", str(checkpoint), "--json",
+        ]
+        src = str(Path(lomlab.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        try:
+            deadline = time.monotonic() + 120
+            while not (checkpoint.exists() and load_checkpoint(checkpoint).completed_chunks):
+                assert proc.poll() is None, proc.stderr.read()
+                assert time.monotonic() < deadline, "no chunk was checkpointed"
+                time.sleep(0.02)
+        finally:
+            proc.kill()
+            proc.wait(timeout=60)
+            proc.stderr.close()
+        assert proc.returncode == -signal.SIGKILL
+        done = len(load_checkpoint(checkpoint).completed_chunks)
+        assert 0 < done < class_count(7, 11) // 64  # killed mid-run
+        resumed = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=600)
+        assert resumed.returncode == 0, resumed.stderr
+        got = json.loads(resumed.stdout)
+        want = run_survey(SurveyConfig(7, 11, 2, chunk_size=64)).to_json_dict()
+        for payload in (got, want):
+            payload.pop("elapsed_seconds")
+        assert json.dumps(got) == json.dumps(want)

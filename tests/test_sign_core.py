@@ -586,7 +586,12 @@ def popcount_table(r, n, k):
 
 
 @pytest.mark.parametrize(
-    "r,n,k", [(2, 3, 0), (2, 5, 0), (3, 5, 1), (4, 7, 1), (3, 8, 1), (4, 8, 3), (5, 9, 2)]
+    "r,n,k",
+    [
+        (2, 3, 0), (2, 5, 0), (3, 5, 1), (4, 7, 1), (3, 8, 1), (4, 8, 3), (5, 9, 2),
+        # supports holding several 0-based columns c >= 7, which swap words 2^(c-7) apart
+        (3, 10, 1), (2, 12, 0), (6, 10, 2),
+    ],
 )
 def test_violation_table_is_the_popcount_definition(r, n, k):
     want = popcount_table(r, n, k)
@@ -595,6 +600,20 @@ def test_violation_table_is_the_popcount_definition(r, n, k):
             table = violation_table(r, n, k)
         assert table.dtype == want.dtype and table.shape == want.shape
         assert np.array_equal(table, want)  # padding bits included
+
+
+@pytest.mark.parametrize("r,n,k", [(8, 12, 3), (9, 13, 3)])
+def test_violation_table_build_stays_within_batches(r, n, k):
+    # beyond the table itself the build holds its batch buffers and the
+    # counting kernel's counters for one batch of pattern-0 circuits
+    violation_table(r, n, k)  # fill the caches
+    tracemalloc.start()
+    try:
+        table = violation_table(r, n, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - table.nbytes < 2.5 * (1 << 20)
 
 
 class TestFirstRowRuns:

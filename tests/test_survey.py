@@ -9,12 +9,15 @@ from conftest import brute_force_count
 from lomlab.chessboard import class_count, representative_of_index
 from lomlab.sign_core import violation_table_nbytes
 from lomlab.survey import (
+    DEFAULT_CHUNK_SIZE,
+    PRESETS,
     Checkpoint,
     CheckpointMismatchError,
     CorruptCheckpointError,
     SurveyConfig,
     _checkpoint_meta,
     _run_chunk,
+    _run_width,
     _Runtime,
     engine_crosscheck,
     load_checkpoint,
@@ -192,6 +195,18 @@ class TestTableEngine:
 
     def test_runs_on_a_pool(self, monkeypatch):
         cfg = SurveyConfig(3, 9, 1, threads=2, chunk_size=7, index_range=(5, 251))
+        assert result_fingerprint(run_survey(cfg)) == self.mask_path(monkeypatch, cfg)
+
+    # every preset; the survey shapes of perfbench are presets, its pool chunks 64 classes
+    @pytest.mark.parametrize("r,n", sorted({(p.rank, p.elements) for p in PRESETS.values()}))
+    @pytest.mark.parametrize("chunk_size", [DEFAULT_CHUNK_SIZE, 64])
+    def test_full_width_runs_where_they_touch_fewest_rows(self, r, n, chunk_size):
+        assert _run_width(r, n, chunk_size) == n - r - 1
+
+    def test_shorter_runs_where_pairs_outnumber_rows(self, monkeypatch):
+        # 2 C(14,3)/2^w + w(w+1)/2 table rows per class is least at w = 6, not 11
+        assert _run_width(2, 14, DEFAULT_CHUNK_SIZE) == 6
+        cfg = SurveyConfig(2, 14, 0)
         assert result_fingerprint(run_survey(cfg)) == self.mask_path(monkeypatch, cfg)
 
 
