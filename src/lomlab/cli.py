@@ -358,6 +358,10 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="lomlab", description=__doc__.splitlines()[0])
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit stable JSON")
+    chunk_help = (
+        "classes per chunk id, the unit a checkpoint records and a rerun resumes by; "
+        "small chunks are counted and saved in batches"
+    )
 
     matrix_opts = argparse.ArgumentParser(add_help=False)
     matrix_opts.add_argument("--matrix", required=True, help="matrix text file (+/- rows)")
@@ -421,7 +425,8 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--engine", choices=survey.ENGINES, default="circuits")
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--chunk-size", type=int, default=survey.DEFAULT_CHUNK_SIZE)
+    p.add_argument("--chunk-size", type=int, default=survey.DEFAULT_CHUNK_SIZE,
+                   help=chunk_help)
     p.add_argument("--checkpoint", help="checkpoint JSON path (resume if it exists)")
     p.add_argument("--out", help="write the result JSON to this path")
     p.add_argument("--range", help="survey only class indices LO..HI (half-open)")
@@ -433,7 +438,8 @@ def build_parser() -> _Parser:
                        help="run a preset survey and assert its expected statistics")
     p.add_argument("--case", required=True, choices=sorted(survey.PRESETS))
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--chunk-size", type=int, default=survey.DEFAULT_CHUNK_SIZE)
+    p.add_argument("--chunk-size", type=int, default=survey.DEFAULT_CHUNK_SIZE,
+                   help=chunk_help)
     p.add_argument("--checkpoint")
     p.set_defaults(func=_cmd_verify)
 

@@ -5,8 +5,8 @@ count, evaluates the k-neighborly reorientation count of the canonical
 representative with the selected engine, and aggregates a histogram plus
 maximizer statistics.  Results are deterministic: independent of worker
 count, chunk size, and checkpoint/resume history.  Long runs checkpoint
-after every completed chunk (atomic write, refuse to resume on metadata
-mismatch).
+after every completed batch of contiguous chunks (atomic write, refuse to
+resume on metadata mismatch).
 
 ``verify_case`` wraps the survey presets whose expected maximizer counts are
 known, reporting one pass/fail line per assertion.  ``engine_crosscheck``
@@ -215,7 +215,7 @@ def save_checkpoint(path: str | Path, cp: Checkpoint) -> None:
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w") as fh:
-        fh.write(json.dumps(cp.to_json_dict(), indent=2) + "\n")
+        fh.write(json.dumps(cp.to_json_dict(), separators=(",", ":")) + "\n")
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
@@ -371,10 +371,10 @@ def _init_worker(rank: int, elements: int, k: int, engine: str, classes: int) ->
     _WORKER_RT = _Runtime(rank, elements, k, engine, classes)
 
 
-def _worker_chunk(job: tuple[int, int, int]) -> tuple[int, dict, int | None]:
-    chunk_id, lo, hi = job
+def _worker_chunk(job: tuple[range, int, int]) -> tuple[range, dict, int | None]:
+    chunk_ids, lo, hi = job
     hist, alt = _run_chunk(_WORKER_RT, lo, hi)
-    return chunk_id, dict(hist), alt
+    return chunk_ids, dict(hist), alt
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +391,27 @@ def _chunk_bounds(lo: int, hi: int, size: int) -> list[tuple[int, int, int]]:
     ]
 
 
-def _chunk_jobs(cfg: SurveyConfig, skip: set[int]) -> list[tuple[int, int, int]]:
-    return [job for job in _chunk_bounds(*cfg.bounds(), cfg.chunk_size) if job[0] not in skip]
+def _chunk_jobs(cfg: SurveyConfig, skip: set[int]) -> list[tuple[range, int, int]]:
+    """Batches of contiguous pending chunks as (chunk ids, first index, end index).
+
+    One batch is counted by one call and checkpointed by one write, so small
+    chunks do not pay the fixed cost of a call and a write each.  A batch
+    holds at most ceil(DEFAULT_CHUNK_SIZE / chunk_size) chunks, so one chunk
+    at DEFAULT_CHUNK_SIZE or more, and few enough that every worker still
+    gets at least four batches when there are enough chunks.
+    """
+    pending = [job for job in _chunk_bounds(*cfg.bounds(), cfg.chunk_size) if job[0] not in skip]
+    per_batch = max(
+        1, min(-(-DEFAULT_CHUNK_SIZE // cfg.chunk_size), len(pending) // (4 * cfg.threads))
+    )
+    batches: list[tuple[range, int, int]] = []
+    for cid, a, b in pending:
+        if batches and batches[-1][0].stop == cid and len(batches[-1][0]) < per_batch:
+            ids, first, _ = batches[-1]
+            batches[-1] = (range(ids.start, cid + 1), first, b)
+        else:
+            batches.append((range(cid, cid + 1), a, b))
+    return batches
 
 
 def _survey_c_value(cfg: SurveyConfig) -> CValue:
@@ -430,9 +449,9 @@ def run_survey(cfg: SurveyConfig) -> SurveyResult:
 
     jobs = _chunk_jobs(cfg, checkpoint.completed_chunks)
 
-    def absorb(chunk_id: int, hist: dict, alt: int | None) -> None:
+    def absorb(chunk_ids: range, hist: dict, alt: int | None) -> None:
         checkpoint.partial_histogram.update(hist)
-        checkpoint.completed_chunks.add(chunk_id)
+        checkpoint.completed_chunks.update(chunk_ids)
         if alt is not None:
             checkpoint.alternating_class_f = alt
         if cfg.checkpoint_path is not None:
@@ -440,17 +459,17 @@ def run_survey(cfg: SurveyConfig) -> SurveyResult:
 
     if cfg.threads == 1 or len(jobs) <= 1:
         rt = _Runtime(cfg.rank, cfg.elements, cfg.k, cfg.engine, hi - lo)
-        for chunk_id, a, b in jobs:
+        for chunk_ids, a, b in jobs:
             hist, alt = _run_chunk(rt, a, b)
-            absorb(chunk_id, dict(hist), alt)
+            absorb(chunk_ids, dict(hist), alt)
     else:
         with multiprocessing.Pool(
             processes=cfg.threads,
             initializer=_init_worker,
             initargs=(cfg.rank, cfg.elements, cfg.k, cfg.engine, hi - lo),
         ) as pool:
-            for chunk_id, hist, alt in pool.imap_unordered(_worker_chunk, jobs):
-                absorb(chunk_id, hist, alt)
+            for chunk_ids, hist, alt in pool.imap_unordered(_worker_chunk, jobs):
+                absorb(chunk_ids, hist, alt)
 
     hist = checkpoint.partial_histogram
     alternating_f = checkpoint.alternating_class_f

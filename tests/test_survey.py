@@ -16,6 +16,8 @@ from lomlab.survey import (
     CorruptCheckpointError,
     SurveyConfig,
     _checkpoint_meta,
+    _chunk_bounds,
+    _chunk_jobs,
     _run_chunk,
     _run_width,
     _Runtime,
@@ -32,6 +34,20 @@ def result_fingerprint(result):
     d = result.to_json_dict()
     d.pop("elapsed_seconds")
     return json.dumps(d, sort_keys=True)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Worker counts of the process pools that surveys start during the test."""
+    started = []
+    real = survey_module.multiprocessing.Pool
+
+    def spy(processes=None, *args, **kwargs):
+        started.append(processes)
+        return real(processes, *args, **kwargs)
+
+    monkeypatch.setattr(survey_module.multiprocessing, "Pool", spy)
+    return started
 
 
 class TestRunSurvey:
@@ -54,11 +70,12 @@ class TestRunSurvey:
             assert result.max_f <= result.c.value
             assert result.alternating_class_f == result.c.value
 
-    def test_determinism_across_threads_and_chunks(self):
+    def test_determinism_across_threads_and_chunks(self, pools):
         base = result_fingerprint(run_survey(SurveyConfig(3, 6, 1)))
         for threads, chunk in [(1, 1), (1, 3), (2, 2), (3, 64), (2, 5)]:
             cfg = SurveyConfig(3, 6, 1, threads=threads, chunk_size=chunk)
             assert result_fingerprint(run_survey(cfg)) == base
+        assert pools == [2, 2]  # chunk size 64 leaves one chunk, counted in-process
 
     def test_travels_engine_agrees(self):
         by_circuits = run_survey(SurveyConfig(3, 6, 1))
@@ -90,6 +107,39 @@ class TestRunSurvey:
             SurveyConfig(3, 5, 1, chunk_size=0)
         with pytest.raises(ValueError):
             SurveyConfig(3, 5, 1, index_range=(2, 99))
+
+
+class TestChunkJobs:
+    """Pending chunks go out in batches of contiguous chunk ids."""
+
+    @pytest.mark.parametrize(
+        "r,n,chunk_size,threads,index_range,skip,per_batch",
+        [
+            (3, 8, 4, 1, None, set(), 16),  # 64 chunks: at least four batches a worker
+            (3, 8, 4, 2, None, {5, 6, 20, 63}, 7),  # 60 pending // (4 * 2)
+            (3, 8, 4, 1, (5, 251), {1, 30}, 15),  # chunks 1..62, the ends cut by the range
+            (7, 11, 2048, 1, None, {0}, 2),  # DEFAULT_CHUNK_SIZE classes a batch
+            (3, 8, 4, 3, None, set(range(60)), 1),  # too few pending chunks to merge
+            (7, 11, DEFAULT_CHUNK_SIZE, 1, None, set(), 1),
+            (7, 11, 5000, 2, None, {3}, 1),
+        ],
+    )
+    def test_batches(self, r, n, chunk_size, threads, index_range, skip, per_batch):
+        cfg = SurveyConfig(
+            r, n, 1, threads=threads, chunk_size=chunk_size, index_range=index_range
+        )
+        chunks = {cid: (a, b) for cid, a, b in _chunk_bounds(*cfg.bounds(), chunk_size)}
+        jobs = _chunk_jobs(cfg, skip)
+        ids = [cid for batch, _, _ in jobs for cid in batch]
+        assert ids == sorted(chunks.keys() - skip)  # each pending chunk once, in order
+        for batch, a, b in jobs:
+            assert list(batch) == list(range(batch[0], batch[-1] + 1))
+            assert (a, b) == (chunks[batch[0]][0], chunks[batch[-1]][1])
+            assert 1 <= len(batch) <= per_batch
+        # a batch stops short of the cap only at a chunk that is not pending
+        for (batch, _, _), (following, _, _) in zip(jobs, jobs[1:]):
+            assert len(batch) == per_batch or following[0] != batch[-1] + 1
+        assert max(len(batch) for batch, _, _ in jobs) == per_batch
 
 
 class TestCheckpointing:
@@ -124,6 +174,43 @@ class TestCheckpointing:
         run_survey(SurveyConfig(3, 6, 1, chunk_size=4, checkpoint_path=path))
         with pytest.raises(CheckpointMismatchError):
             run_survey(SurveyConfig(3, 6, 0, chunk_size=4, checkpoint_path=path))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_resume_with_every_third_chunk_done(self, tmp_path, pools, threads):
+        path = tmp_path / "thirds.ckpt.json"
+        cfg = SurveyConfig(8, 11, 2, threads=threads, chunk_size=64, checkpoint_path=path)
+        rt = _Runtime(8, 11, 2, "circuits", class_count(8, 11))
+        done, hist, alternating = set(), Counter(), None
+        for cid, a, b in _chunk_bounds(0, class_count(8, 11), 64)[::3]:
+            chunk_hist, chunk_alt = _run_chunk(rt, a, b)
+            done.add(cid)
+            hist.update(chunk_hist)
+            alternating = alternating if chunk_alt is None else chunk_alt
+        # the indented layout that earlier versions wrote still resumes
+        partial = Checkpoint(_checkpoint_meta(cfg), done, hist, alternating)
+        path.write_text(json.dumps(partial.to_json_dict(), indent=2) + "\n")
+
+        resumed = run_survey(cfg)
+        assert result_fingerprint(resumed) == result_fingerprint(run_survey(SurveyConfig(8, 11, 2)))
+        assert load_checkpoint(path).completed_chunks == set(range(256))
+        assert pools == [2] * (threads > 1)
+
+    def test_pool_writes_one_checkpoint_per_batch(self, tmp_path, monkeypatch, pools):
+        path = tmp_path / "pool.ckpt.json"
+        cfg = SurveyConfig(8, 11, 2, threads=2, chunk_size=64, checkpoint_path=path)
+        saved = []
+        real = survey_module.save_checkpoint
+        monkeypatch.setattr(
+            survey_module, "save_checkpoint",
+            lambda p, cp: (saved.append(len(cp.completed_chunks)), real(p, cp)),
+        )
+        pooled = result_fingerprint(run_survey(cfg))
+        assert pooled == result_fingerprint(run_survey(SurveyConfig(8, 11, 2)))
+        # 256 chunks, 32 to a batch: four batches for each of the two workers
+        assert len(saved) == len(_chunk_jobs(cfg, set())) == 8
+        assert saved == list(range(32, 257, 32))
+        assert load_checkpoint(path).completed_chunks == set(range(256))
+        assert pools == [2]
 
     def test_range_mismatch_refused(self, tmp_path):
         path = tmp_path / "ranged.ckpt.json"
@@ -175,11 +262,12 @@ class TestTableEngine:
         assert _Runtime(5, 9, 2, "circuits", class_count(5, 9)).use_table
         assert result_fingerprint(run_survey(SurveyConfig(5, 9, 2, chunk_size=1000))) == low
 
-    def test_pool_workers_build_their_own_table(self, monkeypatch):
+    def test_pool_workers_build_their_own_table(self, monkeypatch, pools):
         cfg = SurveyConfig(4, 7, 1, threads=2, chunk_size=7)
         assert result_fingerprint(run_survey(cfg)) == self.mask_path(
             monkeypatch, SurveyConfig(4, 7, 1)
         )
+        assert pools == [2]
 
     # runs of chessboard row 1 span 2^3 classes at (4,8) and 2^5 at (3,9)
     @pytest.mark.parametrize("r,n,k", [(4, 8, 1), (3, 9, 1)])
@@ -193,9 +281,10 @@ class TestTableEngine:
         cfg = SurveyConfig(3, 9, 1, chunk_size=40, index_range=(lo, hi))
         assert result_fingerprint(run_survey(cfg)) == self.mask_path(monkeypatch, cfg)
 
-    def test_runs_on_a_pool(self, monkeypatch):
+    def test_runs_on_a_pool(self, monkeypatch, pools):
         cfg = SurveyConfig(3, 9, 1, threads=2, chunk_size=7, index_range=(5, 251))
         assert result_fingerprint(run_survey(cfg)) == self.mask_path(monkeypatch, cfg)
+        assert pools == [2, 2]  # the mask path runs on a pool as well
 
     # every preset; the survey shapes of perfbench are presets, its pool chunks 64 classes
     @pytest.mark.parametrize("r,n", sorted({(p.rank, p.elements) for p in PRESETS.values()}))
