@@ -72,7 +72,9 @@ def c_closed_form(r: int, n: int, k: int) -> int:
 def c_value(r: int, n: int, k: int, engine: str = "circuits") -> CValue:
     """Best available alternating count: closed form, odd-rank special value,
     or exact engine evaluation of the all-plus matrix."""
-    if k < 0 or r < 2 * k + 1:
+    if k < 0:
+        raise ValueError(f"k must be non-negative, got k={k}")
+    if r < 2 * k + 1:
         raise ValueError(f"need r >= 2k+1, got r={r}, k={k}")
     if n < r + 1:
         raise ValueError(f"need n >= r+1, got r={r}, n={n}")

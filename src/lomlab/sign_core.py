@@ -321,9 +321,11 @@ def is_k_neighborly_circuits(A: SignMatrix, reoriented: Iterable[int], k: int) -
 # ---------------------------------------------------------------------------
 # vectorized counting engine
 #
-# Circuits are packed as bitmasks over elements (element j -> bit j-1).  R and
-# its complement give the same circuits up to a global sign, so only half-masks
-# t (R = t << 1, element 1 unflipped) are tested and the tally is doubled.  The
+# A circuit is its support j_1 < ... < j_{r+1} (0-based columns, one row of
+# _mask_context(r, n).supports) and its sign pattern: bit i-1 is set when the
+# sign at j_{i+1} is +1, the sign at j_1 being +1.  R and its complement give
+# the same circuits up to a global sign, so only half-masks t (R = t << 1,
+# element 1 unflipped) are tested and the tally is doubled.  The
 # test is bit-sliced: bit b of uint64 word w is half-mask 64w+b.  An element's
 # bit plane is set where t flips it; XOR ~0 when its circuit sign is +, it is
 # set where the element ends positive, and its complement where it ends
@@ -335,10 +337,7 @@ def is_k_neighborly_circuits(A: SignMatrix, reoriented: Iterable[int], k: int) -
 class _MaskContext:
     rank: int
     ground_size: int
-    supports: np.ndarray       # (C, r+1) int64, 0-based columns
-    support_bits: np.ndarray   # (C, r+1) uint32
-    support_masks: np.ndarray  # (C,) uint32
-    row_index: np.ndarray      # (1, r) for fancy indexing
+    supports: np.ndarray  # (C, r+1) int64, 0-based columns
 
 
 @lru_cache(maxsize=64)
@@ -346,15 +345,7 @@ def _mask_context(r: int, n: int) -> _MaskContext:
     supports = np.array(
         list(itertools.combinations(range(n), r + 1)), dtype=np.int64
     ).reshape(-1, r + 1)
-    bits = np.uint32(1) << supports.astype(np.uint32)
-    return _MaskContext(
-        rank=r,
-        ground_size=n,
-        supports=supports,
-        support_bits=bits,
-        support_masks=bits.sum(axis=1, dtype=np.uint32),
-        row_index=np.arange(r)[None, :],
-    )
+    return _MaskContext(rank=r, ground_size=n, supports=supports)
 
 
 _BLOCK_BYTES = 128 << 10  # one bit plane of a batch of circuits; one table-row union
@@ -364,16 +355,17 @@ _LOW_PLANES = [sum(1 << b for b in range(64) if b >> i & 1) for i in range(6)]
 
 @lru_cache(maxsize=16)
 def _half_reorientation_masks(n: int) -> np.ndarray:
-    """(n, words) uint64: plane j, word w, bit b is column j's bit of half-mask 64w+b.
+    """(2n, words) uint64: the n bit planes of the half-masks, then their complements.
 
-    Plane 0 is zero (element 1 never flips); bits past 2^(n-1) pad the word when n < 7.
+    Plane j, word w, bit b is column j's bit of half-mask 64w+b.  Plane 0 is
+    zero (element 1 never flips); bits past 2^(n-1) pad the word when n < 7.
     """
     words = np.arange(max(1, (1 << (n - 1)) // 64), dtype=np.uint64)
     planes = np.zeros((n, words.shape[0]), dtype=np.uint64)
     planes[1:7] = np.array(_LOW_PLANES[: n - 1], dtype=np.uint64)[:, None]
     for j in range(7, n):
         planes[j] = -(words >> np.uint64(j - 7) & np.uint64(1))  # 0 or ~0
-    return planes
+    return np.concatenate([planes, ~planes])
 
 
 def _valid_bits(n: int) -> np.uint64:
@@ -396,32 +388,52 @@ def _at_least(signed: np.ndarray, elements: np.ndarray, positive: np.ndarray, m:
     return ge[:, 0] & ge[:, 1]
 
 
+def _circuit_patterns(entries: np.ndarray, supports: np.ndarray) -> np.ndarray:
+    """(C, B) sign patterns of the circuits on ``supports`` of B sign arrays.
+
+    ``entries`` is (B, r, n) int8.  Patterns are uint8 up to r = 8, uint16 up
+    to 16 and uint32 above.
+    """
+    _, r, n = entries.shape
+    dtype = np.uint8 if r <= 8 else np.uint16 if r <= 16 else np.uint32
+    # With all entries +1 the circuit signs alternate +,-,+,...  A -1 that
+    # step i reads (row i, at j_{i+1} or j_{i+2}) flips the signs at
+    # j_{i+2}..j_{r+1}, which are pattern bits i..r-1.
+    base = sum(1 << (m - 1) for m in range(2, r + 1, 2))
+    tails = ((1 << r) - (1 << np.arange(r))).astype(dtype)
+    by_entry = entries.transpose(1, 2, 0)
+    flips = np.where(by_entry < 0, tails[:, None, None], dtype(0)).reshape(r * n, -1)
+    patterns = np.full((supports.shape[0], flips.shape[1]), base, dtype=dtype)
+    rows_at = np.arange(r) * n
+    for ends in (supports[:, :-1], supports[:, 1:]):
+        for index in (rows_at + ends).T:  # row i at one end of step i
+            patterns ^= flips[index]
+    return patterns
+
+
 def _circuit_masks_from_entries(entries: np.ndarray, ctx: _MaskContext) -> np.ndarray:
-    """Positive-part bitmask of every circuit of an int8 sign array."""
-    left = entries[ctx.row_index, ctx.supports[:, :-1]]
-    right = entries[ctx.row_index, ctx.supports[:, 1:]]
-    steps = (left * right) * np.int8(-1)
-    signs = np.cumprod(steps, axis=1, dtype=np.int8)  # signs at j_2..j_{r+1}
-    pos = np.where(signs > 0, ctx.support_bits[:, 1:], np.uint32(0)).sum(
-        axis=1, dtype=np.uint32
-    )
-    return pos + ctx.support_bits[:, 0]  # minimum element always +1
+    """(C,) sign patterns of the circuits of one (r, n) int8 sign array, on ctx.supports."""
+    return _circuit_patterns(entries[None], ctx.supports)[:, 0]
+
+
+def _positive_rows(patterns: np.ndarray, r: int) -> np.ndarray:
+    """(r+1, C): 1 where a circuit's sign is +, a row of ones for j_1, then the pattern bits."""
+    bits = patterns >> np.arange(r, dtype=patterns.dtype)[:, None] & 1
+    return np.concatenate([np.ones((1, patterns.shape[0]), dtype=patterns.dtype), bits])
 
 
 def _neighborliness_levels(
-    pos_masks: np.ndarray, support_masks: np.ndarray, n: int, m: int
+    patterns: np.ndarray, supports: np.ndarray, n: int, m: int
 ) -> np.ndarray:
     """(m, words) bits: the half-masks at level >= 1..m on every circuit.
 
     Level i means (i-1)-neighborly; level 0, some circuit goes one-sided.
     """
-    on = (support_masks[:, None] >> np.arange(n, dtype=np.uint32)) & 1
-    elements = np.nonzero(on)[1].reshape(len(on), -1).T
-    positive = (pos_masks >> elements.astype(np.uint32)) & 1
-    planes = _half_reorientation_masks(n)
-    signed = np.concatenate([planes, ~planes])
-    out = np.full((m, planes.shape[1]), _valid_bits(n))
-    step = max(1, _BLOCK_BYTES // planes[0].nbytes)
+    elements = supports.T
+    positive = _positive_rows(patterns, elements.shape[0] - 1)
+    signed = _half_reorientation_masks(n)
+    out = np.full((m, signed.shape[1]), _valid_bits(n))
+    step = max(1, _BLOCK_BYTES // signed[0].nbytes)
     for lo in range(0, elements.shape[1], step):
         batch = _at_least(signed, elements[:, lo : lo + step], positive[:, lo : lo + step], m)
         out &= np.bitwise_and.reduce(batch, axis=1)
@@ -429,23 +441,28 @@ def _neighborliness_levels(
 
 
 def _count_from_masks(
-    pos_masks: np.ndarray, support_masks: np.ndarray, n: int, r: int, k: int
+    patterns: np.ndarray, supports: np.ndarray, n: int, r: int, k: int
 ) -> int:
     m = min(k + 1, (r + 1) // 2 + 1)  # past (r+1)//2 the level set is empty
-    levels = _neighborliness_levels(pos_masks, support_masks, n, m)
+    levels = _neighborliness_levels(patterns, supports, n, m)
     return 2 * int(np.bitwise_count(levels[m - 1]).sum())
+
+
+def _count_entries(entries: np.ndarray, ctx: _MaskContext, k: int) -> int:
+    """k-neighborly reorientation count of one (r, n) int8 sign array."""
+    patterns = _circuit_masks_from_entries(entries, ctx)
+    return _count_from_masks(patterns, ctx.supports, ctx.ground_size, ctx.rank, k)
 
 
 # ---------------------------------------------------------------------------
 # violation-table engine (many matrices of one shape at once)
 #
 # Whether a half-mask R violates the circuit on support S depends only on the
-# bits of R on S and on the circuit's sign pattern: the signs at j_2..j_{r+1},
-# the sign at j_1 being +1.  Pattern p has bit i-1 set when the sign at
-# j_{i+1} is +1.  table[c, p] is the set of half-masks that violate support c
-# under pattern p, one bit per half-mask packed into uint64 words, so a
-# matrix's violators are the OR of one row per support.  Every half-mask
-# outside that union is k-neighborly, which gives f = 2 (2^(n-1) - |union|).
+# bits of R on S and on the circuit's sign pattern.  table[c, p] is the set of
+# half-masks that violate support c under pattern p, one bit per half-mask
+# packed into uint64 words, so a matrix's violators are the OR of one row per
+# support.  Every half-mask outside that union is k-neighborly, which gives
+# f = 2 (2^(n-1) - |union|).
 #
 # A violation depends on popcount(P ^ (R & S)) only, and setting pattern bit
 # e-1 flips the bit of P at j_{e+1} just as reorienting that column does.  So
@@ -470,17 +487,14 @@ def violation_table(r: int, n: int, k: int) -> np.ndarray:
     pattern is a translate of it.
     """
     _require_countable(r, n)
-    ctx = _mask_context(r, n)
     m = min(k + 1, (r + 1) // 2 + 1)
-    planes = _half_reorientation_masks(n)
-    signed = np.concatenate([planes, ~planes])
-    supports = ctx.supports
-    table = np.empty((supports.shape[0], 1 << r, planes.shape[1]), dtype=np.uint64)
-    only_first = (np.arange(r + 1) == 0).astype(np.int64)[:, None]  # pattern 0: j_1 alone is +
-    step = max(1, _BLOCK_BYTES // planes[0].nbytes)
+    signed = _half_reorientation_masks(n)
+    supports = _mask_context(r, n).supports
+    table = np.empty((supports.shape[0], 1 << r, signed.shape[1]), dtype=np.uint64)
+    first = _positive_rows(np.zeros(1, dtype=np.int64), r)  # pattern 0, broadcast over supports
+    step = max(1, _BLOCK_BYTES // signed[0].nbytes)
     for lo in range(0, supports.shape[0], step):
-        elements = supports[lo : lo + step].T
-        at_least = _at_least(signed, elements, np.broadcast_to(only_first, elements.shape), m)
+        at_least = _at_least(signed, supports[lo : lo + step].T, first, m)
         table[lo : lo + step, 0] = ~at_least[m - 1] & _valid_bits(n)
     _translate_patterns(table, supports)
     return table
@@ -590,22 +604,10 @@ def violation_counts(
     where the batch axis is the contiguous one.
     """
     r, n = ctx.rank, ctx.ground_size
-    dtype = np.uint8 if r <= 8 else np.uint16 if r <= 16 else np.uint32
-    # With all entries +1 the circuit signs alternate +,-,+,...  A -1 that
-    # step i reads (row i, at j_{i+1} or j_{i+2}) flips the signs at
-    # j_{i+2}..j_{r+1}, which are pattern bits i..r-1.
-    base = sum(1 << (m - 1) for m in range(2, r + 1, 2))
-    tails = ((1 << r) - (1 << np.arange(r))).astype(dtype)
-    by_entry = entries.transpose(1, 2, 0)
-    flips = np.where(by_entry < 0, tails[:, None, None], dtype(0)).reshape(r * n, -1)
-    patterns = np.full((ctx.supports.shape[0], flips.shape[1]), base, dtype=dtype)
     supports, first_rows, groups, pairs = _run_plan(r, n, width)
-    rows_at = np.arange(r) * n
-    for ends in (supports[:, :-1], supports[:, 1:]):
-        for index in (rows_at + ends).T:  # row i at one end of step i
-            patterns ^= flips[index]
+    patterns = _circuit_patterns(entries, supports)
     runs, words = patterns.shape[1], table.shape[2]
-    keys = np.concatenate([patterns, patterns ^ dtype((1 << r) - 1)], axis=1) + first_rows
+    keys = np.concatenate([patterns, patterns ^ ((1 << r) - 1)], axis=1) + first_rows
     flat = table.reshape(-1, words)
     unions = np.zeros(((2 * pairs.shape[0] + 1) * runs, words), dtype=np.uint64)
     per = max(1, _BLOCK_BYTES // (2 * runs * words * 8))  # supports per gather
@@ -648,12 +650,6 @@ def _require_countable(r: int, n: int) -> None:
         raise ValueError(f"exhaustive counting supports at most n={MAX_EXHAUSTIVE_ELEMENTS} elements")
 
 
-def _matrix_masks(A: SignMatrix) -> tuple[np.ndarray, np.ndarray]:
-    _require_countable(A.rows, A.cols)
-    ctx = _mask_context(A.rows, A.cols)
-    return _circuit_masks_from_entries(A.to_array(), ctx), ctx.support_masks
-
-
 def count_k_neighborly_reorientations(A: SignMatrix, k: int) -> int:
     """Number of column subsets R whose reorientation of A is k-neighborly.
 
@@ -663,13 +659,17 @@ def count_k_neighborly_reorientations(A: SignMatrix, k: int) -> int:
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    return _count_from_masks(*_matrix_masks(A), A.cols, A.rows, k)
+    _require_countable(A.rows, A.cols)
+    return _count_entries(A.to_array(), _mask_context(A.rows, A.cols), k)
 
 
 def o_vector(A: SignMatrix) -> OVector:
     """Histogram of reorientation subsets by their exact neighborliness level."""
     width = (A.rows - 1) // 2 + 1
-    levels = _neighborliness_levels(*_matrix_masks(A), A.cols, width)
+    _require_countable(A.rows, A.cols)
+    ctx = _mask_context(A.rows, A.cols)
+    patterns = _circuit_masks_from_entries(A.to_array(), ctx)
+    levels = _neighborliness_levels(patterns, ctx.supports, A.cols, width)
     at_least = [2 * int(c) for c in np.bitwise_count(levels).sum(axis=1)] + [0]
     return OVector(tuple(at_least[i] - at_least[i + 1] for i in range(width)))
 
@@ -745,17 +745,13 @@ def circuits_from_chirotope(T: ChirotopeTable) -> list[SignedCircuit]:
     return out
 
 
-def _masks_from_circuits(circuits: list[SignedCircuit]) -> tuple[np.ndarray, np.ndarray]:
-    pos = [sum(1 << (e - 1) for e in c.positive_part) for c in circuits]
-    sup = [sum(1 << (e - 1) for e in c.support) for c in circuits]
-    return np.array(pos, dtype=np.uint32), np.array(sup, dtype=np.uint32)
-
-
 def count_k_neighborly_reorientations_chirotope(T: ChirotopeTable, k: int) -> int:
     """As count_k_neighborly_reorientations, but driven by a chirotope table."""
     if k < 0:
         raise ValueError("k must be non-negative")
     r, n = T.rank, T.ground_size
     _require_countable(r, n)
-    pos, sup = _masks_from_circuits(circuits_from_chirotope(T))
-    return _count_from_masks(pos, sup, n, r, k)
+    circuits = circuits_from_chirotope(T)
+    patterns = [sum(1 << i for i, s in enumerate(c.signs[1:]) if s > 0) for c in circuits]
+    supports = np.array([c.support for c in circuits], dtype=np.int64) - 1
+    return _count_from_masks(np.array(patterns, dtype=np.int64), supports, n, r, k)

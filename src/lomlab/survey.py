@@ -306,10 +306,7 @@ class _Runtime:
 def _evaluate_class(rt: _Runtime, index: int) -> int:
     if rt.engine == "circuits":
         entries = _representative_entries(rt.rank, rt.elements, index)
-        pos = sign_core._circuit_masks_from_entries(entries, rt.ctx)
-        return sign_core._count_from_masks(
-            pos, rt.ctx.support_masks, rt.elements, rt.rank, rt.k
-        )
+        return sign_core._count_entries(entries, rt.ctx, rt.k)
     A = representative_of_index(rt.rank, rt.elements, index)
     return travels.f_via_travels(A, rt.k)
 
@@ -648,6 +645,8 @@ def verify_case(
 # ---------------------------------------------------------------------------
 
 def _sample_indices(r: int, n: int, sample_size: int, seed: int) -> list[int]:
+    if sample_size < 0:
+        raise ValueError(f"samples must be non-negative, got {sample_size}")
     total = class_count(r, n)
     if sample_size >= total:
         return list(range(total))

@@ -292,6 +292,16 @@ class TestErrorHandling:
         assert code == 1
         assert str(path) in err and "Expecting ':' delimiter" in err
 
+    def test_negative_sample_count_refused(self, capsys):
+        for extra in ((), ("--minors",)):
+            code, out, err = run_cli(
+                capsys,
+                "crosscheck", "--rank", "3", "--elements", "5", "--k", "1", "--samples", "-1",
+                *extra,
+            )
+            assert code == 1 and out == ""
+            assert "samples must be non-negative, got -1" in err
+
     def test_dimension_error_names_the_problem(self, capsys):
         code, _, err = run_cli(
             capsys, "representative", "--rank", "4", "--elements", "4", "--index", "0"

@@ -99,6 +99,8 @@ class TestCValue:
             c_value(4, 4, 1)
         with pytest.raises(ValueError):
             c_value(4, 9, 2)
+        with pytest.raises(ValueError, match="k must be non-negative, got k=-1"):
+            c_value(3, 5, -1)
 
 
 class TestPlainTravelTotal:

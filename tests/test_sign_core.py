@@ -22,8 +22,6 @@ from lomlab.sign_core import (
     ChirotopeTable,
     SignedCircuit,
     SignMatrix,
-    _circuit_masks_from_entries,
-    _count_from_masks,
     _mask_context,
     all_circuits,
     alternating_matrix,
@@ -470,7 +468,7 @@ class TestCircuitsFromChirotope:
 
 
 class TestViolationTable:
-    """The survey's table engine against the mask engine and the oracle."""
+    """The survey's table engine against the class-by-class count and the oracle."""
 
     SHAPES = [
         (2, 5, 0), (3, 4, 0), (3, 5, 1), (3, 6, 0), (3, 7, 1),
@@ -488,10 +486,7 @@ class TestViolationTable:
         assert table.nbytes == violation_table_nbytes(r, n)
         entries = representative_entries(r, n, range(class_count(r, n)))
         got = violation_counts(table, entries, ctx).tolist()
-        want = [
-            _count_from_masks(_circuit_masks_from_entries(e, ctx), ctx.support_masks, n, r, k)
-            for e in entries
-        ]
+        want = [count_k_neighborly_reorientations(SignMatrix.from_array(e), k) for e in entries]
         assert got == want
         if k > (r - 1) // 2:
             assert set(got) == {0}  # no reorientation is that neighborly
@@ -555,6 +550,21 @@ class TestBitSlicedKernel:
             with block_bytes(value):
                 assert count_k_neighborly_reorientations(A, k) == want
                 assert o_vector(A).count_at_least(k) == want
+
+    # Patterns are uint8 up to r = 8, uint16 up to 16 and uint32 above.  At
+    # n = r+1 every pattern gives the same count, so n >= r+2.  Travels runs at
+    # the k given only: at (16,18,5) it takes 93 s.
+    @pytest.mark.parametrize(
+        "r,n,travels_k", [(8, 11, 2), (9, 12, 3), (10, 12, 3), (16, 18, 0), (17, 19, 0)]
+    )
+    def test_pattern_dtype_boundaries(self, r, n, travels_k):
+        A = random_matrix(random.Random(100 * r + n), r, n)
+        table = chirotope_from_matrix(A)
+        levels = o_vector(A)
+        for k in range(len(levels.entries) + 1):
+            want = count_k_neighborly_reorientations_chirotope(table, k)
+            assert count_k_neighborly_reorientations(A, k) == levels.count_at_least(k) == want
+        assert count_k_neighborly_reorientations(A, travels_k) == f_via_travels(A, travels_k)
 
     def test_memory_stays_within_batches(self):
         # a scan of every (circuit, half-mask) pair would hold C(14,6) * 2^13 * 4 B = 98 MB
@@ -627,10 +637,7 @@ class TestFirstRowRuns:
         ctx = _mask_context(r, n)
         table = violation_table(r, n, k)
         entries = representative_entries(r, n, range(class_count(r, n)))
-        want = [
-            _count_from_masks(_circuit_masks_from_entries(e, ctx), ctx.support_masks, n, r, k)
-            for e in entries
-        ]
+        want = [count_k_neighborly_reorientations(SignMatrix.from_array(e), k) for e in entries]
         assert violation_counts(table, entries, ctx).tolist() == want
         if r == 2:
             assert class_count(r, n) == 1 << (n - r - 1)
