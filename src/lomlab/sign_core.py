@@ -322,7 +322,7 @@ def is_k_neighborly_circuits(A: SignMatrix, reoriented: Iterable[int], k: int) -
 # vectorized counting engine
 #
 # A circuit is its support j_1 < ... < j_{r+1} (0-based columns, one row of
-# _mask_context(r, n).supports) and its sign pattern: bit i-1 is set when the
+# _mask_context(r, n)) and its sign pattern: bit i-1 is set when the
 # sign at j_{i+1} is +1, the sign at j_1 being +1.  R and its complement give
 # the same circuits up to a global sign, so only half-masks t (R = t << 1,
 # element 1 unflipped) are tested and the tally is doubled.  The
@@ -333,19 +333,12 @@ def is_k_neighborly_circuits(A: SignMatrix, reoriented: Iterable[int], k: int) -
 # sides keeping i elements; R is k-neighborly when every circuit has k+1.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _MaskContext:
-    rank: int
-    ground_size: int
-    supports: np.ndarray  # (C, r+1) int64, 0-based columns
-
-
 @lru_cache(maxsize=64)
-def _mask_context(r: int, n: int) -> _MaskContext:
-    supports = np.array(
+def _mask_context(r: int, n: int) -> np.ndarray:
+    """(C(n, r+1), r+1) int64: every circuit support, 0-based columns, in lexicographic order."""
+    return np.array(
         list(itertools.combinations(range(n), r + 1)), dtype=np.int64
     ).reshape(-1, r + 1)
-    return _MaskContext(rank=r, ground_size=n, supports=supports)
 
 
 _BLOCK_BYTES = 128 << 10  # one bit plane of a batch of circuits; one table-row union
@@ -411,9 +404,9 @@ def _circuit_patterns(entries: np.ndarray, supports: np.ndarray) -> np.ndarray:
     return patterns
 
 
-def _circuit_masks_from_entries(entries: np.ndarray, ctx: _MaskContext) -> np.ndarray:
-    """(C,) sign patterns of the circuits of one (r, n) int8 sign array, on ctx.supports."""
-    return _circuit_patterns(entries[None], ctx.supports)[:, 0]
+def _circuit_masks_from_entries(entries: np.ndarray) -> np.ndarray:
+    """(C,) sign patterns of the circuits of one (r, n) int8 sign array, on _mask_context(r, n)."""
+    return _circuit_patterns(entries[None], _mask_context(*entries.shape))[:, 0]
 
 
 def _positive_rows(patterns: np.ndarray, r: int) -> np.ndarray:
@@ -448,10 +441,11 @@ def _count_from_masks(
     return 2 * int(np.bitwise_count(levels[m - 1]).sum())
 
 
-def _count_entries(entries: np.ndarray, ctx: _MaskContext, k: int) -> int:
+def _count_entries(entries: np.ndarray, k: int) -> int:
     """k-neighborly reorientation count of one (r, n) int8 sign array."""
-    patterns = _circuit_masks_from_entries(entries, ctx)
-    return _count_from_masks(patterns, ctx.supports, ctx.ground_size, ctx.rank, k)
+    r, n = entries.shape
+    patterns = _circuit_masks_from_entries(entries)
+    return _count_from_masks(patterns, _mask_context(r, n), n, r, k)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +483,7 @@ def violation_table(r: int, n: int, k: int) -> np.ndarray:
     _require_countable(r, n)
     m = min(k + 1, (r + 1) // 2 + 1)
     signed = _half_reorientation_masks(n)
-    supports = _mask_context(r, n).supports
+    supports = _mask_context(r, n)
     table = np.empty((supports.shape[0], 1 << r, signed.shape[1]), dtype=np.uint64)
     first = _positive_rows(np.zeros(1, dtype=np.int64), r)  # pattern 0, broadcast over supports
     step = max(1, _BLOCK_BYTES // signed[0].nbytes)
@@ -568,7 +562,7 @@ def _run_plan(r: int, n: int, width: int) -> tuple:
     (pattern kept) and 2+2p (pattern complemented).
     """
     parity_class = np.clip(np.arange(n) - 1, 0, width)  # of each 0-based column
-    supports = _mask_context(r, n).supports
+    supports = _mask_context(r, n)
     a, b = parity_class[supports[:, 0]], parity_class[supports[:, 1]]
     pairs, pair_of = np.unique(np.stack([a, b], axis=1)[a < b], axis=0, return_inverse=True)
     slot = np.zeros(supports.shape[0], dtype=np.int64)
@@ -591,9 +585,7 @@ def violation_block_size(table: np.ndarray, width: int = 0) -> int:
     return max(1, _BLOCK_BYTES // (variants * table.shape[2] * table.itemsize))
 
 
-def violation_counts(
-    table: np.ndarray, entries: np.ndarray, ctx: _MaskContext, width: int = 0
-) -> np.ndarray:
+def violation_counts(table: np.ndarray, entries: np.ndarray, width: int = 0) -> np.ndarray:
     """k-neighborly reorientation count of each class in B runs of 2^width classes.
 
     ``entries`` is (B, r, n) int8: the canonical matrix of each run's first
@@ -603,7 +595,7 @@ def violation_counts(
     Fastest on the layout ``chessboard.representative_entries`` returns,
     where the batch axis is the contiguous one.
     """
-    r, n = ctx.rank, ctx.ground_size
+    _, r, n = entries.shape
     supports, first_rows, groups, pairs = _run_plan(r, n, width)
     patterns = _circuit_patterns(entries, supports)
     runs, words = patterns.shape[1], table.shape[2]
@@ -660,16 +652,15 @@ def count_k_neighborly_reorientations(A: SignMatrix, k: int) -> int:
     if k < 0:
         raise ValueError("k must be non-negative")
     _require_countable(A.rows, A.cols)
-    return _count_entries(A.to_array(), _mask_context(A.rows, A.cols), k)
+    return _count_entries(A.to_array(), k)
 
 
 def o_vector(A: SignMatrix) -> OVector:
     """Histogram of reorientation subsets by their exact neighborliness level."""
     width = (A.rows - 1) // 2 + 1
     _require_countable(A.rows, A.cols)
-    ctx = _mask_context(A.rows, A.cols)
-    patterns = _circuit_masks_from_entries(A.to_array(), ctx)
-    levels = _neighborliness_levels(patterns, ctx.supports, A.cols, width)
+    patterns = _circuit_masks_from_entries(A.to_array())
+    levels = _neighborliness_levels(patterns, _mask_context(A.rows, A.cols), A.cols, width)
     at_least = [2 * int(c) for c in np.bitwise_count(levels).sum(axis=1)] + [0]
     return OVector(tuple(at_least[i] - at_least[i + 1] for i in range(width)))
 

@@ -6,7 +6,9 @@ representative with the selected engine, and aggregates a histogram plus
 maximizer statistics.  Results are deterministic: independent of worker
 count, chunk size, and checkpoint/resume history.  Long runs checkpoint
 after every completed batch of contiguous chunks (atomic write, refuse to
-resume on metadata mismatch).
+resume on metadata mismatch).  The circuits engine counts a survey with one
+violation table, built in the calling process before any worker starts;
+forked pool workers share it.
 
 ``verify_case`` wraps the survey presets whose expected maximizer counts are
 known, reporting one pass/fail line per assertion.  ``engine_crosscheck``
@@ -24,7 +26,7 @@ import os
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 from pathlib import Path
 
@@ -98,7 +100,7 @@ class SurveyConfig:
                 f"survey needs n >= r+1, got r={self.rank}, n={self.elements}"
             )
         if self.k < 0:
-            raise ValueError("k must be non-negative")
+            raise ValueError(f"k must be non-negative, got k={self.k}")
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}, expected one of {ENGINES}")
         limit = (
@@ -112,9 +114,9 @@ class SurveyConfig:
                 f"got n={self.elements}"
             )
         if self.threads < 1:
-            raise ValueError("threads must be >= 1")
+            raise ValueError(f"threads must be >= 1, got {self.threads}")
         if self.chunk_size < 1:
-            raise ValueError("chunk size must be >= 1")
+            raise ValueError(f"chunk size must be >= 1, got {self.chunk_size}")
         if self.index_range is not None:
             lo, hi = self.index_range
             total = class_count(self.rank, self.elements)
@@ -125,7 +127,9 @@ class SurveyConfig:
             if lo == hi:
                 raise ValueError(f"index range [{lo},{hi}) holds no class")
         if self.crosscheck_samples < 0:
-            raise ValueError("crosscheck sample count must be >= 0")
+            raise ValueError(
+                f"crosscheck sample count must be >= 0, got {self.crosscheck_samples}"
+            )
 
     def bounds(self) -> tuple[int, int]:
         if self.index_range is not None:
@@ -273,42 +277,21 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 # chunk evaluation (also run inside worker processes)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Runtime:
-    """Per-process evaluation state of one survey.
+def _survey_table(cfg: SurveyConfig, classes: int) -> np.ndarray | None:
+    """The violation table that counts a survey of ``classes`` classes, or None.
 
-    ``classes`` is the number of classes the whole survey covers.  The
-    circuits engine counts with a violation table when the survey has at
-    least 2^r classes, so that building the table pays for itself, and the
-    table fits TABLE_MAX_BYTES; otherwise it counts class by class.  The
-    table is built on the first chunk and lives as long as the runtime.
+    The circuits engine counts with a table when the survey has at least 2^r
+    classes, so that building the table pays for itself, and the table fits
+    TABLE_MAX_BYTES.  None means count class by class.
     """
-
-    rank: int
-    elements: int
-    k: int
-    engine: str
-    classes: int = 0
-    ctx: object = field(default=None)
-    use_table: bool = field(default=False, init=False)
-    table: np.ndarray | None = field(default=None, init=False)
-
-    def __post_init__(self):
-        if self.engine == "circuits":
-            self.ctx = sign_core._mask_context(self.rank, self.elements)
-            self.use_table = (
-                self.classes >= 1 << self.rank
-                and sign_core.violation_table_nbytes(self.rank, self.elements)
-                <= TABLE_MAX_BYTES
-            )
-
-
-def _evaluate_class(rt: _Runtime, index: int) -> int:
-    if rt.engine == "circuits":
-        entries = _representative_entries(rt.rank, rt.elements, index)
-        return sign_core._count_entries(entries, rt.ctx, rt.k)
-    A = representative_of_index(rt.rank, rt.elements, index)
-    return travels.f_via_travels(A, rt.k)
+    r, n = cfg.rank, cfg.elements
+    if (
+        cfg.engine == "circuits"
+        and classes >= 1 << r
+        and sign_core.violation_table_nbytes(r, n) <= TABLE_MAX_BYTES
+    ):
+        return sign_core.violation_table(r, n, cfg.k)
+    return None
 
 
 def _run_width(r: int, n: int, length: int) -> int:
@@ -324,22 +307,23 @@ def _run_width(r: int, n: int, length: int) -> int:
     return min(range(widest + 1), key=lambda w: 2 * supports / (1 << w) + w * (w + 1) / 2)
 
 
-def _run_table_chunk(rt: _Runtime, lo: int, hi: int) -> tuple[Counter, int | None]:
+def _run_table_chunk(
+    cfg: SurveyConfig, table: np.ndarray, lo: int, hi: int
+) -> tuple[Counter, int | None]:
     """Count [lo, hi) in aligned runs of chessboard row 1, the ends cut from a run one by one."""
-    if rt.table is None:
-        rt.table = sign_core.violation_table(rt.rank, rt.elements, rt.k)
-    width = _run_width(rt.rank, rt.elements, hi - lo)
+    r, n = cfg.rank, cfg.elements
+    width = _run_width(r, n, hi - lo)
     size = 1 << width
     body_lo = min(hi, -(-lo // size) * size)
     body_hi = max(body_lo, hi // size * size)
-    counts = np.zeros((1 << rt.elements) + 1, dtype=np.int64)
+    counts = np.zeros((1 << n) + 1, dtype=np.int64)
     alternating_f = None
     for a, b, w in ((lo, body_lo, 0), (body_lo, body_hi, width), (body_hi, hi, 0)):
-        step = sign_core.violation_block_size(rt.table, w) << w
+        step = sign_core.violation_block_size(table, w) << w
         for start in range(a, b, step):
             firsts = np.arange(start, min(b, start + step), 1 << w)
-            entries = representative_entries(rt.rank, rt.elements, firsts)
-            fs = sign_core.violation_counts(rt.table, entries, rt.ctx, w)
+            entries = representative_entries(r, n, firsts)
+            fs = sign_core.violation_counts(table, entries, w)
             counts += np.bincount(fs, minlength=counts.shape[0])
             if start == 0:
                 alternating_f = int(fs[0])
@@ -347,30 +331,45 @@ def _run_table_chunk(rt: _Runtime, lo: int, hi: int) -> tuple[Counter, int | Non
     return hist, alternating_f
 
 
-def _run_chunk(rt: _Runtime, lo: int, hi: int) -> tuple[Counter, int | None]:
-    if rt.use_table:
-        return _run_table_chunk(rt, lo, hi)
+def _run_chunk(
+    cfg: SurveyConfig, table: np.ndarray | None, lo: int, hi: int
+) -> tuple[Counter, int | None]:
+    """Histogram of f over the classes [lo, hi), and f of class 0 if it is among them.
+
+    With a table from ``_survey_table`` the classes are counted in runs;
+    without one, each is counted on its own by the survey's engine.
+    """
+    if table is not None:
+        return _run_table_chunk(cfg, table, lo, hi)
     hist = Counter()
     alternating_f = None
     for index in range(lo, hi):
-        f = _evaluate_class(rt, index)
+        if cfg.engine == "circuits":
+            entries = _representative_entries(cfg.rank, cfg.elements, index)
+            f = sign_core._count_entries(entries, cfg.k)
+        else:
+            A = representative_of_index(cfg.rank, cfg.elements, index)
+            f = travels.f_via_travels(A, cfg.k)
         hist[f] += 1
         if index == 0:
             alternating_f = f
     return hist, alternating_f
 
 
-_WORKER_RT: _Runtime | None = None
+# Set in each pool worker by _init_worker.  Under the fork start method the
+# workers share the parent's table copy-on-write; under spawn or forkserver
+# each unpickles its own copy.
+_WORKER_STATE: tuple[SurveyConfig, np.ndarray | None] | None = None
 
 
-def _init_worker(rank: int, elements: int, k: int, engine: str, classes: int) -> None:
-    global _WORKER_RT
-    _WORKER_RT = _Runtime(rank, elements, k, engine, classes)
+def _init_worker(cfg: SurveyConfig, table: np.ndarray | None) -> None:
+    global _WORKER_STATE
+    _WORKER_STATE = cfg, table
 
 
 def _worker_chunk(job: tuple[range, int, int]) -> tuple[range, dict, int | None]:
     chunk_ids, lo, hi = job
-    hist, alt = _run_chunk(_WORKER_RT, lo, hi)
+    hist, alt = _run_chunk(*_WORKER_STATE, lo, hi)
     return chunk_ids, dict(hist), alt
 
 
@@ -418,7 +417,12 @@ def _survey_c_value(cfg: SurveyConfig) -> CValue:
 
 
 def run_survey(cfg: SurveyConfig) -> SurveyResult:
-    """Evaluate f for every class index in range and aggregate the statistics."""
+    """Evaluate f for every class index in range and aggregate the statistics.
+
+    Batches of pending chunks run in this process, or on a pool of at most
+    ``cfg.threads`` workers and no more than there are batches.  The table
+    is built once, here, and only when some chunk is pending.
+    """
     start = time.perf_counter()
     lo, hi = cfg.bounds()
 
@@ -454,16 +458,16 @@ def run_survey(cfg: SurveyConfig) -> SurveyResult:
         if cfg.checkpoint_path is not None:
             save_checkpoint(cfg.checkpoint_path, checkpoint)
 
+    table = _survey_table(cfg, hi - lo) if jobs else None
     if cfg.threads == 1 or len(jobs) <= 1:
-        rt = _Runtime(cfg.rank, cfg.elements, cfg.k, cfg.engine, hi - lo)
         for chunk_ids, a, b in jobs:
-            hist, alt = _run_chunk(rt, a, b)
+            hist, alt = _run_chunk(cfg, table, a, b)
             absorb(chunk_ids, dict(hist), alt)
     else:
         with multiprocessing.Pool(
-            processes=cfg.threads,
+            processes=min(cfg.threads, len(jobs)),
             initializer=_init_worker,
-            initargs=(cfg.rank, cfg.elements, cfg.k, cfg.engine, hi - lo),
+            initargs=(cfg, table),
         ) as pool:
             for chunk_ids, hist, alt in pool.imap_unordered(_worker_chunk, jobs):
                 absorb(chunk_ids, hist, alt)

@@ -292,6 +292,13 @@ class TestErrorHandling:
         assert code == 1
         assert str(path) in err and "Expecting ':' delimiter" in err
 
+    def test_bad_thread_count_names_the_value(self, capsys):
+        code, out, err = run_cli(
+            capsys, "survey", "--rank", "3", "--elements", "5", "--k", "1", "--threads", "0"
+        )
+        assert code == 1 and out == ""
+        assert "threads must be >= 1, got 0" in err
+
     def test_negative_sample_count_refused(self, capsys):
         for extra in ((), ("--minors",)):
             code, out, err = run_cli(

@@ -22,7 +22,6 @@ from lomlab.sign_core import (
     ChirotopeTable,
     SignedCircuit,
     SignMatrix,
-    _mask_context,
     all_circuits,
     alternating_matrix,
     chirotope_from_matrix,
@@ -477,15 +476,14 @@ class TestViolationTable:
 
     @staticmethod
     def table_counts(r, n, k, entries):
-        return violation_counts(violation_table(r, n, k), entries, _mask_context(r, n))
+        return violation_counts(violation_table(r, n, k), entries)
 
     @pytest.mark.parametrize("r,n,k", SHAPES)
     def test_every_class_matches_mask_engine(self, r, n, k):
-        ctx = _mask_context(r, n)
         table = violation_table(r, n, k)
         assert table.nbytes == violation_table_nbytes(r, n)
         entries = representative_entries(r, n, range(class_count(r, n)))
-        got = violation_counts(table, entries, ctx).tolist()
+        got = violation_counts(table, entries).tolist()
         want = [count_k_neighborly_reorientations(SignMatrix.from_array(e), k) for e in entries]
         assert got == want
         if k > (r - 1) // 2:
@@ -634,45 +632,44 @@ class TestFirstRowRuns:
 
     @pytest.mark.parametrize("r,n,k", SHAPES)
     def test_every_class_every_width(self, r, n, k):
-        ctx = _mask_context(r, n)
         table = violation_table(r, n, k)
         entries = representative_entries(r, n, range(class_count(r, n)))
         want = [count_k_neighborly_reorientations(SignMatrix.from_array(e), k) for e in entries]
-        assert violation_counts(table, entries, ctx).tolist() == want
+        assert violation_counts(table, entries).tolist() == want
         if r == 2:
             assert class_count(r, n) == 1 << (n - r - 1)
         for width in range(n - r):
             firsts = representative_entries(r, n, range(0, class_count(r, n), 1 << width))
             for value in BLOCK_BYTES:
                 with block_bytes(value):
-                    got = violation_counts(table, firsts, ctx, width)
+                    got = violation_counts(table, firsts, width)
                 assert got.tolist() == want, (width, value)
 
     def test_run_in_the_middle_of_the_space(self):
         # runs need only be aligned, not start at class 0
         r, n, k = 5, 10, 2
-        ctx, table = _mask_context(r, n), violation_table(r, n, k)
+        table = violation_table(r, n, k)
         lo, width = 3 << 4, 4
-        want = violation_counts(table, representative_entries(r, n, range(lo, lo + 64)), ctx)
+        want = violation_counts(table, representative_entries(r, n, range(lo, lo + 64)))
         firsts = representative_entries(r, n, range(lo, lo + 64, 1 << width))
-        assert np.array_equal(violation_counts(table, firsts, ctx, width), want)
+        assert np.array_equal(violation_counts(table, firsts, width), want)
 
     def test_long_run_stays_within_batches(self):
         # one run of 4096 classes: a row union per class of the run would
         # hold 8 MB, and every pair's union gathered for every class 650 MB
         r, n, k, width = 2, 15, 0, 12
-        ctx, table = _mask_context(r, n), violation_table(r, n, k)
+        table = violation_table(r, n, k)
         first = representative_entries(r, n, [0])
-        violation_counts(table, first, ctx, width)  # fill the caches
+        violation_counts(table, first, width)  # fill the caches
         tracemalloc.start()
         try:
-            got = violation_counts(table, first, ctx, width)
+            got = violation_counts(table, first, width)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2 << 20
         sample = np.arange(0, 1 << width, 61)
-        want = violation_counts(table, representative_entries(r, n, sample), ctx)
+        want = violation_counts(table, representative_entries(r, n, sample))
         assert np.array_equal(got[sample], want)
 
 

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+import lomlab.sign_core as sign_core
 import lomlab.survey as survey_module
 from conftest import brute_force_count
 from lomlab.chessboard import class_count, representative_of_index
@@ -20,7 +21,7 @@ from lomlab.survey import (
     _chunk_jobs,
     _run_chunk,
     _run_width,
-    _Runtime,
+    _survey_table,
     engine_crosscheck,
     load_checkpoint,
     minor_recursion_check,
@@ -76,6 +77,13 @@ class TestRunSurvey:
             cfg = SurveyConfig(3, 6, 1, threads=threads, chunk_size=chunk)
             assert result_fingerprint(run_survey(cfg)) == base
         assert pools == [2, 2]  # chunk size 64 leaves one chunk, counted in-process
+
+    def test_pool_starts_no_more_workers_than_batches(self, pools):
+        cfg = SurveyConfig(3, 6, 1, threads=8, chunk_size=8)
+        assert len(_chunk_jobs(cfg, set())) == 2
+        base = result_fingerprint(run_survey(SurveyConfig(3, 6, 1)))
+        assert result_fingerprint(run_survey(cfg)) == base
+        assert pools == [2]
 
     def test_travels_engine_agrees(self):
         by_circuits = run_survey(SurveyConfig(3, 6, 1))
@@ -148,8 +156,7 @@ class TestCheckpointing:
         cfg = SurveyConfig(3, 6, 1, chunk_size=4, checkpoint_path=path)
 
         # simulate an interrupted run: only chunk 1 finished
-        rt = _Runtime(3, 6, 1, "circuits")
-        hist, _ = _run_chunk(rt, 4, 8)
+        hist, _ = _run_chunk(cfg, None, 4, 8)
         partial = Checkpoint(_checkpoint_meta(cfg), {1}, Counter(hist), None)
         save_checkpoint(path, partial)
 
@@ -179,10 +186,10 @@ class TestCheckpointing:
     def test_resume_with_every_third_chunk_done(self, tmp_path, pools, threads):
         path = tmp_path / "thirds.ckpt.json"
         cfg = SurveyConfig(8, 11, 2, threads=threads, chunk_size=64, checkpoint_path=path)
-        rt = _Runtime(8, 11, 2, "circuits", class_count(8, 11))
+        table = _survey_table(cfg, class_count(8, 11))
         done, hist, alternating = set(), Counter(), None
         for cid, a, b in _chunk_bounds(0, class_count(8, 11), 64)[::3]:
-            chunk_hist, chunk_alt = _run_chunk(rt, a, b)
+            chunk_hist, chunk_alt = _run_chunk(cfg, table, a, b)
             done.add(cid)
             hist.update(chunk_hist)
             alternating = alternating if chunk_alt is None else chunk_alt
@@ -249,25 +256,51 @@ class TestTableEngine:
 
     @pytest.mark.parametrize("lo,hi,table", [(0, 15, False), (0, 16, True), (7, 23, True)])
     def test_switch_at_two_to_the_rank(self, monkeypatch, lo, hi, table):
-        assert _Runtime(4, 8, 1, "circuits", hi - lo).use_table is table
         cfg = SurveyConfig(4, 8, 1, chunk_size=5, index_range=(lo, hi))
+        assert (_survey_table(cfg, hi - lo) is not None) is table
         assert result_fingerprint(run_survey(cfg)) == self.mask_path(monkeypatch, cfg)
 
     def test_byte_constant_selects_the_mask_path(self, monkeypatch):
         need = violation_table_nbytes(5, 9)
         monkeypatch.setattr(survey_module, "TABLE_MAX_BYTES", need - 1)
-        assert not _Runtime(5, 9, 2, "circuits", class_count(5, 9)).use_table
+        assert _survey_table(SurveyConfig(5, 9, 2), class_count(5, 9)) is None
         low = result_fingerprint(run_survey(SurveyConfig(5, 9, 2, chunk_size=1000)))
         monkeypatch.setattr(survey_module, "TABLE_MAX_BYTES", need)
-        assert _Runtime(5, 9, 2, "circuits", class_count(5, 9)).use_table
+        assert _survey_table(SurveyConfig(5, 9, 2), class_count(5, 9)) is not None
         assert result_fingerprint(run_survey(SurveyConfig(5, 9, 2, chunk_size=1000))) == low
 
-    def test_pool_workers_build_their_own_table(self, monkeypatch, pools):
-        cfg = SurveyConfig(4, 7, 1, threads=2, chunk_size=7)
+    @staticmethod
+    def record_tables(monkeypatch):
+        """Arguments of each violation_table call; a call in a pool worker raises."""
+        parent, built = os.getpid(), []
+        real = sign_core.violation_table
+
+        def in_parent_only(*args):
+            if os.getpid() != parent:
+                raise AssertionError(f"pool worker {os.getpid()} built a violation table")
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(sign_core, "violation_table", in_parent_only)
+        return built
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_table_per_survey_built_in_the_parent(self, monkeypatch, pools, threads):
+        built = self.record_tables(monkeypatch)
+        cfg = SurveyConfig(4, 7, 1, threads=threads, chunk_size=7)
         assert result_fingerprint(run_survey(cfg)) == self.mask_path(
             monkeypatch, SurveyConfig(4, 7, 1)
         )
-        assert pools == [2]
+        assert built == [(4, 7, 1)]
+        assert pools == [2] * (threads > 1)
+
+    def test_complete_checkpoint_builds_no_table(self, tmp_path, monkeypatch, pools):
+        cfg = SurveyConfig(4, 7, 1, threads=2, chunk_size=7, checkpoint_path=tmp_path / "c.json")
+        first = result_fingerprint(run_survey(cfg))
+        built = self.record_tables(monkeypatch)
+        assert result_fingerprint(run_survey(cfg)) == first
+        assert built == []
+        assert pools == [2]  # the resume pass has no batch and starts no pool
 
     # runs of chessboard row 1 span 2^3 classes at (4,8) and 2^5 at (3,9)
     @pytest.mark.parametrize("r,n,k", [(4, 8, 1), (3, 9, 1)])
@@ -336,8 +369,8 @@ class TestSelfChecks:
     def test_survey_checks_its_histogram_total(self, monkeypatch):
         real = survey_module._run_chunk
 
-        def lose_a_class(rt, lo, hi):
-            return real(rt, lo, hi - 1)
+        def lose_a_class(cfg, table, lo, hi):
+            return real(cfg, table, lo, hi - 1)
 
         monkeypatch.setattr(survey_module, "_run_chunk", lose_a_class)
         with pytest.raises(RuntimeError, match="counts 15 classes of 16"):
@@ -357,6 +390,16 @@ class TestSelfChecks:
     def test_empty_range_refused(self):
         with pytest.raises(ValueError, match=r"\[2,2\) holds no class"):
             SurveyConfig(3, 5, 1, index_range=(2, 2))
+
+    @pytest.mark.parametrize("setting,value,message", [
+        ("k", -1, "k must be non-negative, got k=-1"),
+        ("threads", 0, "threads must be >= 1, got 0"),
+        ("chunk_size", 0, "chunk size must be >= 1, got 0"),
+        ("crosscheck_samples", -2, "crosscheck sample count must be >= 0, got -2"),
+    ])
+    def test_bad_setting_named_with_its_value(self, setting, value, message):
+        with pytest.raises(ValueError, match=message):
+            SurveyConfig(**{"rank": 3, "elements": 5, "k": 1, setting: value})
 
     def test_checkpoint_synced_before_rename(self, tmp_path, monkeypatch):
         events = []
