@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import formulas, survey
@@ -89,10 +88,6 @@ def _load_matrix(args) -> SignMatrix:
 
 def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
-
-
-def _fraction_str(x: Fraction) -> str:
-    return str(x)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +253,7 @@ def _cmd_formulas(args) -> int:
                 "total_plain_travels": travels_total,
                 "class_count": classes,
                 "lom_upper_bound": bound,
-                "asymptotic_bound": _fraction_str(asymptotic) if asymptotic is not None else None,
+                "asymptotic_bound": str(asymptotic) if asymptotic is not None else None,
             }
         )
         return 0
@@ -268,7 +263,7 @@ def _cmd_formulas(args) -> int:
     if bound is not None:
         print(f"lom_upper_bound = {bound}")
     if asymptotic is not None:
-        print(f"F = {_fraction_str(asymptotic)}")
+        print(f"F = {str(asymptotic)}")
     return 0
 
 

@@ -497,41 +497,25 @@ def violation_table(r: int, n: int, k: int) -> np.ndarray:
 def _translate_patterns(table: np.ndarray, supports: np.ndarray) -> None:
     """Fill patterns 1..2^r-1 of every support from its pattern 0 by doubling."""
     count, patterns, words = table.shape
-    bit = supports[:, 1:] - 1  # (C, r): half-mask bit of the column of each pattern bit
-    in_word = bit < 6
-    # bit b of the translate is bit b ^ s of the row:
-    # ((x & upper) >> s) | ((x & ~upper) << s), which is x when s = 0
-    shift = np.where(in_word, 1 << np.minimum(bit, 5), 0).astype(np.uint64)
-    upper = np.array(_LOW_PLANES, dtype=np.uint64)[np.minimum(bit, 5)]
-    word_xor = np.where(in_word, 0, 1 << np.maximum(bit - 6, 0))
-    flat, word = table.reshape(-1), np.arange(words)
-    support_at = np.arange(count)[:, None] * (patterns * words)
-    cap = max(patterns // 2 * words, _BLOCK_BYTES // 8)  # words per batch, one support at least
-    index = np.empty(cap, dtype=np.int64)
-    moved, part = np.empty((2, cap), dtype=np.uint64)
     for e in range(patterns.bit_length() - 1):  # pattern bit e
         half = 1 << e
-        per = max(1, cap // (half * words))  # supports per batch
-        pattern_at = np.arange(half)[:, None] * words
-        for lo in range(0, count, per):
-            source, target = table[lo : lo + per, :half], table[lo : lo + per, half : 2 * half]
-            size, shape = source.size, source.shape
-            xor = word_xor[lo : lo + per, e, None]
-            if xor.any():
-                at = (support_at[lo : lo + per] + (word ^ xor))[:, None]
-                at = np.add(at, pattern_at, out=index[:size].reshape(shape))
-                # every index is in range; "wrap" skips the buffered bounds check
-                source = np.take(flat, at, out=moved[:size].reshape(shape), mode="wrap")
-            s = shift[lo : lo + per, e, None, None]
-            if s.any():
-                mask = upper[lo : lo + per, e, None, None]
-                low = np.bitwise_and(source, mask, out=part[:size].reshape(shape))
-                low >>= s
-                np.bitwise_and(source, ~mask, out=target)
-                target <<= s
-                target |= low
-            else:
-                target[...] = source
+        per = max(1, _BLOCK_BYTES // (half * words * 8))  # supports per batch
+        column_bit = supports[:, e + 1] - 1  # half-mask bit of the column of pattern bit e
+        for b in np.unique(column_bit).tolist():
+            group = np.flatnonzero(column_bit == b)
+            for lo in range(0, group.size, per):
+                sel = group[lo : lo + per]
+                if b >= 6:  # swap words 2^(b-6) apart
+                    pairs = table.reshape(count, patterns, -1, 2, 1 << (b - 6))
+                    pairs[sel, half : 2 * half] = pairs[sel, :half, :, ::-1]
+                else:  # swap bits 2^b apart within each word
+                    s, upper = np.uint64(1 << b), np.uint64(_LOW_PLANES[b])
+                    x = table[sel, :half]
+                    low = (x & upper) >> s
+                    x &= ~upper
+                    x <<= s
+                    x |= low
+                    table[sel, half : 2 * half] = x
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,8 @@ DEFAULT_CHUNK_SIZE = 4096
 ENGINES = ("circuits", "travels")
 # Largest violation table a survey builds; bigger shapes count class by class.
 TABLE_MAX_BYTES = 256 << 20
+# About the most batches, and so checkpoint writes, that a survey makes.
+_MAX_BATCHES = 4096
 
 
 class CheckpointMismatchError(RuntimeError):
@@ -310,23 +312,22 @@ def _run_width(r: int, n: int, length: int) -> int:
 def _run_table_chunk(
     cfg: SurveyConfig, table: np.ndarray, lo: int, hi: int
 ) -> tuple[Counter, int | None]:
-    """Count [lo, hi) in aligned runs of chessboard row 1, the ends cut from a run one by one."""
+    """Count [lo, hi) in the aligned runs of chessboard row 1 that cover it.
+
+    The runs cut by lo or hi are counted whole and trimmed to the range.
+    """
     r, n = cfg.rank, cfg.elements
     width = _run_width(r, n, hi - lo)
-    size = 1 << width
-    body_lo = min(hi, -(-lo // size) * size)
-    body_hi = max(body_lo, hi // size * size)
+    step = sign_core.violation_block_size(table, width) << width
     counts = np.zeros((1 << n) + 1, dtype=np.int64)
     alternating_f = None
-    for a, b, w in ((lo, body_lo, 0), (body_lo, body_hi, width), (body_hi, hi, 0)):
-        step = sign_core.violation_block_size(table, w) << w
-        for start in range(a, b, step):
-            firsts = np.arange(start, min(b, start + step), 1 << w)
-            entries = representative_entries(r, n, firsts)
-            fs = sign_core.violation_counts(table, entries, w)
-            counts += np.bincount(fs, minlength=counts.shape[0])
-            if start == 0:
-                alternating_f = int(fs[0])
+    for start in range(lo >> width << width, hi, step):
+        firsts = np.arange(start, min(hi, start + step), 1 << width)
+        entries = representative_entries(r, n, firsts)
+        fs = sign_core.violation_counts(table, entries, width)[max(0, lo - start) : hi - start]
+        counts += np.bincount(fs, minlength=counts.shape[0])
+        if start == lo == 0:
+            alternating_f = int(fs[0])
     hist = Counter({int(f): int(counts[f]) for f in np.flatnonzero(counts)})
     return hist, alternating_f
 
@@ -392,13 +393,17 @@ def _chunk_jobs(cfg: SurveyConfig, skip: set[int]) -> list[tuple[range, int, int
 
     One batch is counted by one call and checkpointed by one write, so small
     chunks do not pay the fixed cost of a call and a write each.  A batch
-    holds at most ceil(DEFAULT_CHUNK_SIZE / chunk_size) chunks, so one chunk
+    holds up to ceil(DEFAULT_CHUNK_SIZE / chunk_size) chunks, so one chunk
     at DEFAULT_CHUNK_SIZE or more, and few enough that every worker still
-    gets at least four batches when there are enough chunks.
+    gets at least four batches when there are enough chunks.  Past
+    _MAX_BATCHES pending chunks it holds ceil(pending / _MAX_BATCHES) of
+    them instead, since every write rewrites all completed chunk ids.
     """
     pending = [job for job in _chunk_bounds(*cfg.bounds(), cfg.chunk_size) if job[0] not in skip]
     per_batch = max(
-        1, min(-(-DEFAULT_CHUNK_SIZE // cfg.chunk_size), len(pending) // (4 * cfg.threads))
+        1,
+        -(-len(pending) // _MAX_BATCHES),
+        min(-(-DEFAULT_CHUNK_SIZE // cfg.chunk_size), len(pending) // (4 * cfg.threads)),
     )
     batches: list[tuple[range, int, int]] = []
     for cid, a, b in pending:

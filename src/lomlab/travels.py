@@ -145,14 +145,7 @@ def is_k_neighborly_matrix(A: SignMatrix, k: int) -> bool:
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    r, n = A.rows, A.cols
-    entries = A.entries
-    for size in range(k + 1):
-        for S in itertools.combinations(range(1, n + 1), size):
-            _, _, positive = _walk_top(entries, r, n, frozenset(S), False)
-            if positive:
-                return False
-    return True
+    return positivizing_set(A, k, range(1, A.cols + 1)) is None
 
 
 def enumerate_plain_travels(r: int, n: int) -> list[PlainTravel]:

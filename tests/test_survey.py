@@ -149,6 +149,13 @@ class TestChunkJobs:
             assert len(batch) == per_batch or following[0] != batch[-1] + 1
         assert max(len(batch) for batch, _, _ in jobs) == per_batch
 
+    def test_checkpoint_writes_stay_bounded(self):
+        # every write rewrites all completed chunk ids: one write for each of
+        # the 262144 default-size chunks of (7,13) would cost their square
+        jobs = _chunk_jobs(SurveyConfig(7, 13, 2, threads=2), set())
+        assert len(jobs) == 4096
+        assert {len(batch) for batch, _, _ in jobs} == {64}
+
 
 class TestCheckpointing:
     def test_resume_completes_partial_run(self, tmp_path):
