@@ -306,7 +306,7 @@ def is_k_neighborly_circuits(A: SignMatrix, reoriented: Iterable[int], k: int) -
     elements.  Exits on the first violating circuit.
     """
     if k < 0:
-        raise ValueError("k must be non-negative")
+        raise ValueError(f"k must be non-negative, got k={k}")
     flip = _check_labels(reoriented, A.cols, "element")
     r, n = A.rows, A.cols
     size = r + 1
@@ -331,6 +331,14 @@ def is_k_neighborly_circuits(A: SignMatrix, reoriented: Iterable[int], k: int) -
 # set where the element ends positive, and its complement where it ends
 # negative.  Saturating "at least i" counters per side mark level >= i, both
 # sides keeping i elements; R is k-neighborly when every circuit has k+1.
+#
+# Circuits are ANDed in batch by batch, so level sets only shrink, and a word
+# with no half-mask left at the level being counted stays empty.  Once at
+# most half of the words still hold one, the dead words are dropped from the
+# planes and the levels, and later batches hold more circuits over fewer
+# words; when no word is left the count is 0 and the rest is skipped.  At
+# k >= 1 an LOM has at most c(r,n,k) k-neighborly reorientations, polynomial
+# in n, so at n >= 14 most words die within the first few hundred circuits.
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=64)
@@ -416,20 +424,29 @@ def _positive_rows(patterns: np.ndarray, r: int) -> np.ndarray:
 
 
 def _neighborliness_levels(
-    patterns: np.ndarray, supports: np.ndarray, n: int, m: int
+    patterns: np.ndarray, supports: np.ndarray, n: int, m: int, level: int
 ) -> np.ndarray:
-    """(m, words) bits: the half-masks at level >= 1..m on every circuit.
+    """(m, live words) bits: the half-masks at level >= 1..m on every circuit.
 
     Level i means (i-1)-neighborly; level 0, some circuit goes one-sided.
+    Only the words that hold a half-mask at level >= ``level`` are kept; as
+    each level set lies inside the one below, the words dropped hold none at
+    any higher level either.
     """
     elements = supports.T
     positive = _positive_rows(patterns, elements.shape[0] - 1)
     signed = _half_reorientation_masks(n)
     out = np.full((m, signed.shape[1]), _valid_bits(n))
-    step = max(1, _BLOCK_BYTES // signed[0].nbytes)
-    for lo in range(0, elements.shape[1], step):
+    lo = 0
+    while lo < elements.shape[1] and out.shape[1]:
+        step = max(1, _BLOCK_BYTES // signed[0].nbytes)
         batch = _at_least(signed, elements[:, lo : lo + step], positive[:, lo : lo + step], m)
         out &= np.bitwise_and.reduce(batch, axis=1)
+        lo += step
+        if lo < elements.shape[1]:  # before the next batch, drop the dead words
+            live = np.flatnonzero(out[level - 1])
+            if live.size <= out.shape[1] // 2:
+                out, signed = out[:, live], signed[:, live]
     return out
 
 
@@ -437,7 +454,7 @@ def _count_from_masks(
     patterns: np.ndarray, supports: np.ndarray, n: int, r: int, k: int
 ) -> int:
     m = min(k + 1, (r + 1) // 2 + 1)  # past (r+1)//2 the level set is empty
-    levels = _neighborliness_levels(patterns, supports, n, m)
+    levels = _neighborliness_levels(patterns, supports, n, m, m)
     return 2 * int(np.bitwise_count(levels[m - 1]).sum())
 
 
@@ -634,7 +651,7 @@ def count_k_neighborly_reorientations(A: SignMatrix, k: int) -> int:
     global sign flip.
     """
     if k < 0:
-        raise ValueError("k must be non-negative")
+        raise ValueError(f"k must be non-negative, got k={k}")
     _require_countable(A.rows, A.cols)
     return _count_entries(A.to_array(), k)
 
@@ -644,7 +661,7 @@ def o_vector(A: SignMatrix) -> OVector:
     width = (A.rows - 1) // 2 + 1
     _require_countable(A.rows, A.cols)
     patterns = _circuit_masks_from_entries(A.to_array())
-    levels = _neighborliness_levels(patterns, _mask_context(A.rows, A.cols), A.cols, width)
+    levels = _neighborliness_levels(patterns, _mask_context(A.rows, A.cols), A.cols, width, 1)
     at_least = [2 * int(c) for c in np.bitwise_count(levels).sum(axis=1)] + [0]
     return OVector(tuple(at_least[i] - at_least[i + 1] for i in range(width)))
 
@@ -723,7 +740,7 @@ def circuits_from_chirotope(T: ChirotopeTable) -> list[SignedCircuit]:
 def count_k_neighborly_reorientations_chirotope(T: ChirotopeTable, k: int) -> int:
     """As count_k_neighborly_reorientations, but driven by a chirotope table."""
     if k < 0:
-        raise ValueError("k must be non-negative")
+        raise ValueError(f"k must be non-negative, got k={k}")
     r, n = T.rank, T.ground_size
     _require_countable(r, n)
     circuits = circuits_from_chirotope(T)

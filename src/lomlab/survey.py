@@ -6,9 +6,10 @@ representative with the selected engine, and aggregates a histogram plus
 maximizer statistics.  Results are deterministic: independent of worker
 count, chunk size, and checkpoint/resume history.  Long runs checkpoint
 after every completed batch of contiguous chunks (atomic write, refuse to
-resume on metadata mismatch).  The circuits engine counts a survey with one
-violation table, built in the calling process before any worker starts;
-forked pool workers share it.
+resume on metadata mismatch).  The circuits engine counts a survey with a
+violation table: one, built in the calling process before any worker starts
+and shared by forked pool workers, or, when the pool starts its workers by
+spawn or forkserver, one built in each worker.
 
 ``verify_case`` wraps the survey presets whose expected maximizer counts are
 known, reporting one pass/fail line per assertion.  ``engine_crosscheck``
@@ -358,13 +359,16 @@ def _run_chunk(
 
 
 # Set in each pool worker by _init_worker.  Under the fork start method the
-# workers share the parent's table copy-on-write; under spawn or forkserver
-# each unpickles its own copy.
+# workers share the parent's table copy-on-write.  Under spawn or forkserver
+# a table passed in would be pickled and copied into every worker, which
+# costs more than a build, so each worker builds its own from the class count.
 _WORKER_STATE: tuple[SurveyConfig, np.ndarray | None] | None = None
 
 
-def _init_worker(cfg: SurveyConfig, table: np.ndarray | None) -> None:
+def _init_worker(cfg: SurveyConfig, table: np.ndarray | None, classes: int | None) -> None:
     global _WORKER_STATE
+    if classes is not None:
+        table = _survey_table(cfg, classes)
     _WORKER_STATE = cfg, table
 
 
@@ -426,7 +430,8 @@ def run_survey(cfg: SurveyConfig) -> SurveyResult:
 
     Batches of pending chunks run in this process, or on a pool of at most
     ``cfg.threads`` workers and no more than there are batches.  The table
-    is built once, here, and only when some chunk is pending.
+    is built only when some chunk is pending: once, here, unless the pool
+    starts its workers other than by fork, and then once in each worker.
     """
     start = time.perf_counter()
     lo, hi = cfg.bounds()
@@ -463,8 +468,10 @@ def run_survey(cfg: SurveyConfig) -> SurveyResult:
         if cfg.checkpoint_path is not None:
             save_checkpoint(cfg.checkpoint_path, checkpoint)
 
-    table = _survey_table(cfg, hi - lo) if jobs else None
-    if cfg.threads == 1 or len(jobs) <= 1:
+    serial = cfg.threads == 1 or len(jobs) <= 1
+    in_parent = serial or multiprocessing.get_start_method() == "fork"
+    table = _survey_table(cfg, hi - lo) if jobs and in_parent else None
+    if serial:
         for chunk_ids, a, b in jobs:
             hist, alt = _run_chunk(cfg, table, a, b)
             absorb(chunk_ids, dict(hist), alt)
@@ -472,7 +479,7 @@ def run_survey(cfg: SurveyConfig) -> SurveyResult:
         with multiprocessing.Pool(
             processes=min(cfg.threads, len(jobs)),
             initializer=_init_worker,
-            initargs=(cfg, table),
+            initargs=(cfg, table, None if in_parent else hi - lo),
         ) as pool:
             for chunk_ids, hist, alt in pool.imap_unordered(_worker_chunk, jobs):
                 absorb(chunk_ids, hist, alt)

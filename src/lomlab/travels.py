@@ -144,7 +144,7 @@ def is_k_neighborly_matrix(A: SignMatrix, k: int) -> bool:
     and exits at the first positive travel found.
     """
     if k < 0:
-        raise ValueError("k must be non-negative")
+        raise ValueError(f"k must be non-negative, got k={k}")
     return positivizing_set(A, k, range(1, A.cols + 1)) is None
 
 
@@ -244,7 +244,7 @@ def count_k_neighborly_plain_travels(A: SignMatrix, k: int) -> int:
     most GRID_MAX_PAIRS (travel, set) pairs, at least one travel per block.
     """
     if k < 0:
-        raise ValueError("k must be non-negative")
+        raise ValueError(f"k must be non-negative, got k={k}")
     r, n = A.rows, A.cols
     if n < r + 1:
         raise ValueError(f"counting requires n >= r+1, got r={r}, n={n}")
@@ -301,7 +301,7 @@ def positivizing_set(
     positive; None if there is none.
     """
     if k < 0:
-        raise ValueError("k must be non-negative")
+        raise ValueError(f"k must be non-negative, got k={k}")
     r, n = A.rows, A.cols
     allowed = sorted(set(int(c) for c in allowed_columns))
     for c in allowed:

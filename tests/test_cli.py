@@ -309,6 +309,16 @@ class TestErrorHandling:
             assert code == 1 and out == ""
             assert "samples must be non-negative, got -1" in err
 
+    def test_negative_k_names_the_value(self, capsys):
+        for engine in ("circuits", "travels", "chirotope"):
+            code, out, err = run_cli(
+                capsys,
+                "fcount", "--matrix", str(DATA / "all_plus_3x5.txt"), "--k", "-1",
+                "--engine", engine,
+            )
+            assert code == 1 and out == "", engine
+            assert "k must be non-negative, got k=-1" in err, engine
+
     def test_dimension_error_names_the_problem(self, capsys):
         code, _, err = run_cli(
             capsys, "representative", "--rank", "4", "--elements", "4", "--index", "0"

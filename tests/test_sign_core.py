@@ -17,7 +17,7 @@ from conftest import (
 )
 import lomlab.sign_core as sign_core
 from lomlab.chessboard import class_count, representative_entries, representative_of_index
-from lomlab.formulas import total_plain_travels
+from lomlab.formulas import c_closed_form, total_plain_travels
 from lomlab.sign_core import (
     ChirotopeTable,
     SignedCircuit,
@@ -574,6 +574,56 @@ class TestBitSlicedKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak < 8 << 20
+
+    # Shapes where few half-masks are k-neighborly, so most words of the level
+    # sets die within the first batches and the count drops them, again and
+    # again under the smaller block sizes.  At n >= 13, BLOCK_BYTES 8 and 1000
+    # both mean one circuit per batch and about 0.2 s per count, so batches
+    # start here at 4 or 9 circuits at n = 14 (8 or 19 at n = 13), the last one
+    # uneven, and grow as words die.  The last item is f at k of the seeded
+    # random classes: 0 is the early return with no word left.
+    @pytest.mark.parametrize(
+        "r,n,k,random_fs,block_values",
+        [
+            (5, 13, 1, [38, 6, 0], (None, 4096, 10000)),
+            (5, 14, 1, [0, 8], (None, 4096, 10000)),
+            (7, 14, 2, [2, 0], (None, 4096, 10000)),
+            (6, 14, 2, [0, 0], (None, 4096, 10000)),
+            (5, 16, 1, [0], (None,)),
+            (7, 16, 2, [], (None,)),
+        ],
+    )
+    def test_dead_words_are_dropped(self, r, n, k, random_fs, block_values):
+        rng = random.Random(2)
+        indices = [rng.randrange(class_count(r, n)) for _ in random_fs]
+        flips = [j for j in range(1, n + 1) if rng.random() < 0.5]
+        alternating = reorient_columns(alternating_matrix(r, n), flips)
+        matrices = [alternating] + [representative_of_index(r, n, i) for i in indices]
+        fs = []
+        for A in matrices:
+            want = [f_via_travels(A, j) for j in range((r - 1) // 2 + 2)]
+            fs.append(want[k])
+            for value in block_values:
+                with block_bytes(value):
+                    levels = o_vector(A)
+                    for j, f in enumerate(want):
+                        assert count_k_neighborly_reorientations(A, j) == f, (j, value)
+                        assert levels.count_at_least(j) == f, (j, value)
+        assert fs == [c_closed_form(r, n, k)] + random_fs
+
+    def test_memory_of_a_count_with_dying_words(self):
+        # a batch holds at most 128 KB per bit plane however few words are
+        # left, so the peak (about 1.5 MB) does not grow as batches widen
+        A = reorient_columns(alternating_matrix(5, 17), {3, 8, 12, 16})
+        count_k_neighborly_reorientations(A, 1)  # fill the caches
+        tracemalloc.start()
+        try:
+            f = count_k_neighborly_reorientations(A, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f == c_closed_form(5, 17, 1)
         assert peak < 8 << 20
 
 

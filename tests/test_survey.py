@@ -1,6 +1,10 @@
 import json
 import os
+import subprocess
+import sys
+import textwrap
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -308,6 +312,36 @@ class TestTableEngine:
         assert result_fingerprint(run_survey(cfg)) == first
         assert built == []
         assert pools == [2]  # the resume pass has no batch and starts no pool
+
+    def test_forkserver_workers_build_their_own_table(self):
+        # A table in the pool's initargs would be pickled into every worker
+        # that is not forked, so under forkserver the parent builds none.
+        script = textwrap.dedent(
+            """
+            import json, multiprocessing
+            import lomlab.sign_core as sign_core
+            from lomlab.survey import SurveyConfig, run_survey
+
+            if __name__ == "__main__":
+                built, real = [], sign_core.violation_table
+                sign_core.violation_table = lambda *args: built.append(args) or real(*args)
+                multiprocessing.set_start_method("forkserver")
+                result = run_survey(SurveyConfig(4, 8, 1, threads=2, chunk_size=8))
+                print(json.dumps({"result": result.to_json_dict(), "built": len(built)}))
+            """
+        )
+        src = str(Path(sign_core.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout)
+        assert got["built"] == 0
+        want = run_survey(SurveyConfig(4, 8, 1, chunk_size=8)).to_json_dict()
+        for payload in (got["result"], want):
+            payload.pop("elapsed_seconds")
+        assert json.dumps(got["result"]) == json.dumps(want)
 
     # runs of chessboard row 1 span 2^3 classes at (4,8) and 2^5 at (3,9)
     @pytest.mark.parametrize("r,n,k", [(4, 8, 1), (3, 9, 1)])
