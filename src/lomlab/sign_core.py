@@ -44,7 +44,7 @@ __all__ = [
     "count_k_neighborly_reorientations_chirotope",
 ]
 
-MAX_EXHAUSTIVE_ELEMENTS = 24  # 2^(n-1) reorientations are enumerated explicitly
+MAX_EXHAUSTIVE_ELEMENTS = 24  # a survey table row, and a count at k = 0, hold 2^(n-1) bits
 
 
 # ---------------------------------------------------------------------------
@@ -332,24 +332,27 @@ def is_k_neighborly_circuits(A: SignMatrix, reoriented: Iterable[int], k: int) -
 # negative.  Saturating "at least i" counters per side mark level >= i, both
 # sides keeping i elements; R is k-neighborly when every circuit has k+1.
 #
-# Circuits are ANDed in batch by batch, so level sets only shrink, and a word
-# with no half-mask left at the level being counted stays empty.  Once at
-# most half of the words still hold one, the dead words are dropped from the
-# planes and the levels, and later batches hold more circuits over fewer
-# words; when no word is left the count is 0 and the rest is skipped.  At
-# k >= 1 an LOM has at most c(r,n,k) k-neighborly reorientations, polynomial
-# in n, so at n >= 14 most words die within the first few hundred circuits.
+# Circuits are taken in order of their largest column.  Deleting columns
+# leaves an LOM, so a half-mask that breaks a circuit on columns 0..j is lost
+# for good, and those kept are k-neighborly reorientations of an LOM on j+1
+# elements: at k >= 1 at most c(r, j+1, k), polynomial in j.  The count starts
+# from every half-mask of columns 0.._FIRST_STAGE and the circuits inside
+# them.  At each later column it keeps the half-masks still at the level
+# being counted, doubles them (the column unflipped, then flipped), packs
+# their planes and level bits again and ANDs in the circuits that end there;
+# when none is left the count is 0.  Up to n = 11 the first stage is the
+# whole count; past it the work follows the survivors, not 2^(n-1).
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=64)
 def _mask_context(r: int, n: int) -> np.ndarray:
     """(C(n, r+1), r+1) int64: every circuit support, 0-based columns, in lexicographic order."""
-    return np.array(
-        list(itertools.combinations(range(n), r + 1)), dtype=np.int64
-    ).reshape(-1, r + 1)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), r + 1))
+    return np.fromiter(flat, dtype=np.int64, count=comb(n, r + 1) * (r + 1)).reshape(-1, r + 1)
 
 
 _BLOCK_BYTES = 128 << 10  # one bit plane of a batch of circuits; one table-row union
+_FIRST_STAGE = 10  # the single-matrix count starts from every half-mask of columns 0..10
 # 0xAAAA..., 0xCCCC..., 0xF0F0..., ...: bit b of _LOW_PLANES[i] is bit i of b
 _LOW_PLANES = [sum(1 << b for b in range(64) if b >> i & 1) for i in range(6)]
 
@@ -423,30 +426,54 @@ def _positive_rows(patterns: np.ndarray, r: int) -> np.ndarray:
     return np.concatenate([np.ones((1, patterns.shape[0]), dtype=patterns.dtype), bits])
 
 
+def _compact(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """(R, ceil(len(keep) / 64)) uint64: bits ``keep`` of each packed row, in order, zero-padded."""
+    out = np.zeros((rows.shape[0], -(-keep.size // 64) * 8), dtype=np.uint8)
+    per = max(1, _BLOCK_BYTES // (rows.shape[1] * 64))  # rows unpacked at once, a byte per bit
+    for lo in range(0, rows.shape[0], per):
+        bits = np.unpackbits(rows[lo : lo + per].view(np.uint8), axis=1, bitorder="little")
+        packed = np.packbits(bits[:, keep], axis=1, bitorder="little")
+        out[lo : lo + per, : packed.shape[1]] = packed
+    return out.view(np.uint64)
+
+
 def _neighborliness_levels(
     patterns: np.ndarray, supports: np.ndarray, n: int, m: int, level: int
 ) -> np.ndarray:
-    """(m, live words) bits: the half-masks at level >= 1..m on every circuit.
+    """(m, words) bits: the surviving half-masks at level >= 1..m on every circuit.
 
     Level i means (i-1)-neighborly; level 0, some circuit goes one-sided.
-    Only the words that hold a half-mask at level >= ``level`` are kept; as
-    each level set lies inside the one below, the words dropped hold none at
-    any higher level either.
+    Rows ``level``..m are exact: a half-mask left out is below ``level``.
     """
-    elements = supports.T
-    positive = _positive_rows(patterns, elements.shape[0] - 1)
-    signed = _half_reorientation_masks(n)
-    out = np.full((m, signed.shape[1]), _valid_bits(n))
-    lo = 0
-    while lo < elements.shape[1] and out.shape[1]:
+    positive = _positive_rows(patterns, supports.shape[1] - 1)
+    first = min(n - 1, _FIRST_STAGE)
+    order, ends = None, [supports.shape[0]]  # one stage: every circuit, in any order
+    if first < n - 1:  # then one stage per column, the circuits ending there
+        order = np.argsort(supports[:, -1].astype(np.uint8), kind="stable")  # a radix sort
+        ends = np.bincount(supports[:, -1], minlength=n).cumsum()[first:]
+    signed = _half_reorientation_masks(first + 1)
+    planes = signed[: first + 1]
+    out = np.full((m, signed.shape[1]), _valid_bits(first + 1))
+    for column, start, end in zip(range(first, n), [0, *ends], ends):
+        if column > first:  # keep the survivors, then double them on this column
+            keep = np.flatnonzero(np.unpackbits(out[level - 1].view(np.uint8), bitorder="little"))
+            if not keep.size:
+                return out[:, :0]
+            kept = _compact(np.concatenate([planes, out]), keep)
+            planes = np.zeros((column + 1, 2 * kept.shape[1]), dtype=np.uint64)
+            planes[:column] = np.tile(kept[:column], 2)
+            planes[column, kept.shape[1] :] = ~np.uint64(0)
+            signed = np.concatenate([planes, ~planes])
+            out = np.tile(kept[column:], 2)
         step = max(1, _BLOCK_BYTES // signed[0].nbytes)
-        batch = _at_least(signed, elements[:, lo : lo + step], positive[:, lo : lo + step], m)
-        out &= np.bitwise_and.reduce(batch, axis=1)
-        lo += step
-        if lo < elements.shape[1]:  # before the next batch, drop the dead words
-            live = np.flatnonzero(out[level - 1])
-            if live.size <= out.shape[1] // 2:
-                out, signed = out[:, live], signed[:, live]
+        for lo in range(start, end, step):
+            if order is None:
+                elements, signs = supports[lo : lo + step].T, positive[:, lo : lo + step]
+            else:
+                batch = order[lo : min(end, lo + step)]
+                elements, signs = supports.take(batch, axis=0).T, positive.take(batch, axis=1)
+            levels = _at_least(signed, elements, signs, m)
+            out &= np.bitwise_and.reduce(levels, axis=1)
     return out
 
 
@@ -640,7 +667,9 @@ def _require_countable(r: int, n: int) -> None:
     if n < r + 1:
         raise ValueError(f"counting requires n >= r+1 (no circuits at r={r}, n={n})")
     if n > MAX_EXHAUSTIVE_ELEMENTS:
-        raise ValueError(f"exhaustive counting supports at most n={MAX_EXHAUSTIVE_ELEMENTS} elements")
+        raise ValueError(
+            f"exhaustive counting supports at most n={MAX_EXHAUSTIVE_ELEMENTS} elements, got n={n}"
+        )
 
 
 def count_k_neighborly_reorientations(A: SignMatrix, k: int) -> int:

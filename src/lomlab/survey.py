@@ -742,9 +742,9 @@ def minor_recursion_check(
 ) -> MinorRecursionReport:
     """Check f(M) <= f(M/e) + f(M\\e) for sampled classes and every element e."""
     if r < 3:
-        raise ValueError("minor recursion check needs rank >= 3")
+        raise ValueError(f"minor recursion check needs rank >= 3, got rank {r}")
     if n < r + 2:
-        raise ValueError("minor recursion check needs n >= r+2")
+        raise ValueError(f"minor recursion check needs n >= r+2, got r={r}, n={n}")
     indices = _sample_indices(r, n, sample_size, seed)
     violations = []
     for index in indices:

@@ -319,6 +319,22 @@ class TestErrorHandling:
             assert code == 1 and out == "", engine
             assert "k must be non-negative, got k=-1" in err, engine
 
+    def test_wide_matrix_count_names_n(self, capsys, tmp_path):
+        wide = tmp_path / "wide.txt"
+        wide.write_text("+" * 25 + "\n")
+        code, out, err = run_cli(capsys, "fcount", "--matrix", str(wide), "--k", "1")
+        assert code == 1 and out == ""
+        assert "at most n=24 elements, got n=25" in err
+
+    def test_minor_check_names_its_dimensions(self, capsys):
+        for dims, want in (
+            (("--rank", "2", "--elements", "5"), "needs rank >= 3, got rank 2"),
+            (("--rank", "3", "--elements", "4"), "needs n >= r+2, got r=3, n=4"),
+        ):
+            code, out, err = run_cli(capsys, "crosscheck", "--minors", *dims, "--k", "0")
+            assert code == 1 and out == ""
+            assert want in err
+
     def test_dimension_error_names_the_problem(self, capsys):
         code, _, err = run_cli(
             capsys, "representative", "--rank", "4", "--elements", "4", "--index", "0"

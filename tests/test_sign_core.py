@@ -517,6 +517,13 @@ def block_bytes(value):
         yield
 
 
+@contextmanager
+def first_stage(width):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sign_core, "_FIRST_STAGE", width)
+        yield
+
+
 class TestBitSlicedKernel:
     """The 64-half-masks-per-word count against the brute-force oracles and the
     travels engine, which share no code with it, and against the chirotope route."""
@@ -576,13 +583,12 @@ class TestBitSlicedKernel:
             tracemalloc.stop()
         assert peak < 8 << 20
 
-    # Shapes where few half-masks are k-neighborly, so most words of the level
-    # sets die within the first batches and the count drops them, again and
-    # again under the smaller block sizes.  At n >= 13, BLOCK_BYTES 8 and 1000
-    # both mean one circuit per batch and about 0.2 s per count, so batches
-    # start here at 4 or 9 circuits at n = 14 (8 or 19 at n = 13), the last one
-    # uneven, and grow as words die.  The last item is f at k of the seeded
-    # random classes: 0 is the early return with no word left.
+    # Shapes where few half-masks are k-neighborly, so few survive the first
+    # stage (columns 0..10) and each later column doubles a short list.  The
+    # block sizes 4096 and 10000 give batches of 32 or 78 circuits in the
+    # first stage and more once the list is short, the last batch of each
+    # column uneven.  The last item is f at k of the seeded random classes:
+    # 0 is the early return when no half-mask survives.
     @pytest.mark.parametrize(
         "r,n,k,random_fs,block_values",
         [
@@ -614,7 +620,7 @@ class TestBitSlicedKernel:
 
     def test_memory_of_a_count_with_dying_words(self):
         # a batch holds at most 128 KB per bit plane however few words are
-        # left, so the peak (about 1.5 MB) does not grow as batches widen
+        # left, so the peak (about 2 MB) does not grow as batches widen
         A = reorient_columns(alternating_matrix(5, 17), {3, 8, 12, 16})
         count_k_neighborly_reorientations(A, 1)  # fill the caches
         tracemalloc.start()
@@ -625,6 +631,65 @@ class TestBitSlicedKernel:
             tracemalloc.stop()
         assert f == c_closed_form(5, 17, 1)
         assert peak < 8 << 20
+
+    # With a first stage of 2-4 columns, every shape above is counted column by
+    # column: survivors kept, doubled on the next column and packed again,
+    # across word boundaries and with padding bits in the first stage's word.
+    @pytest.mark.parametrize("r,n", SHAPES)
+    def test_small_first_stage_matches_oracle(self, r, n):
+        for index in range(class_count(r, n)):
+            A = representative_of_index(r, n, index)
+            want = brute_force_o_vector(A)
+            for width in (1, 2, 3):
+                with first_stage(width):
+                    assert o_vector(A).entries == want, width
+                    for k in range(len(want) + 1):
+                        assert count_k_neighborly_reorientations(A, k) == sum(want[k:]), width
+
+    # the chirotope engine passes its supports in lexicographic order, as the
+    # matrix engine does; the count takes them by largest element itself
+    @given(sign_matrices(min_r=2, max_r=7, max_n=13), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_small_first_stage_matches_travels_and_chirotope(self, A, data):
+        k = data.draw(st.integers(0, (A.rows - 1) // 2 + 1))
+        width = data.draw(st.integers(1, 4))
+        want = f_via_travels(A, k)
+        with first_stage(width):
+            assert count_k_neighborly_reorientations_chirotope(chirotope_from_matrix(A), k) == want
+            assert count_k_neighborly_reorientations(A, k) == want
+            assert o_vector(A).count_at_least(k) == want
+
+    def test_returns_when_no_half_mask_survives(self, monkeypatch):
+        # this class keeps 1-neighborly half-masks past the first stage (columns
+        # 0..10) but none past column 11, so columns 12 and 13 are never tested
+        A = representative_of_index(5, 14, 1930549411)
+        columns = []
+        at_least = sign_core._at_least
+
+        def spy(signed, elements, positive, m):
+            columns.append(int(elements.max()))
+            return at_least(signed, elements, positive, m)
+
+        monkeypatch.setattr(sign_core, "_at_least", spy)
+        assert count_k_neighborly_reorientations(A, 1) == 0 == f_via_travels(A, 1)
+        assert max(columns) == 11
+        levels = o_vector(A)
+        assert levels.count_at_least(1) == 0 and levels.count_at_least(0) == f_via_travels(A, 0)
+
+    def test_memory_of_a_count_where_every_half_mask_survives(self):
+        # at k = 0 most half-masks survive every column (2^14 of the 2^15 at the
+        # end); the survivors' planes are unpacked to a byte per bit only a
+        # group of rows at a time
+        A = reorient_columns(alternating_matrix(8, 16), {2, 7, 11})
+        count_k_neighborly_reorientations(A, 0)  # fill the caches
+        tracemalloc.start()
+        try:
+            f = count_k_neighborly_reorientations(A, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f == f_via_travels(A, 0) == 1 << 15
+        assert peak < 4 << 20
 
 
 def popcount_table(r, n, k):
