@@ -268,6 +268,11 @@ def _cmd_formulas(args) -> int:
 
 
 def _cmd_survey(args) -> int:
+    if args.out and not Path(args.out).parent.is_dir():
+        # checked before counting, so that a long survey's result is not lost
+        raise ValueError(
+            f"--out: cannot write {args.out}: {Path(args.out).parent} is not a directory"
+        )
     cfg = survey.SurveyConfig(
         rank=args.rank,
         elements=args.elements,

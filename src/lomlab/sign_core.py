@@ -569,14 +569,22 @@ def _translate_patterns(table: np.ndarray, supports: np.ndarray) -> None:
 # (1,2)..(1,w+1)) have matrices that differ only in row 1: reorienting
 # row-1 entries flips exactly those squares.  Flipping square (1,j) negates
 # row 1 right of column j, so column j is negated when the prefix XOR of the
-# flipped squares left of it is odd; columns 1..2 share parity class 0,
-# column j the class min(j-2, w).  Row 1 enters a circuit's signs only at
+# flipped squares left of it is odd.  Row 1 enters a circuit's signs only at
 # its first step, so a support (j1, j2, ...) keeps its pattern when j1 and j2
-# take the same negation and otherwise takes the complement.  A run of 2^w
-# aligned classes therefore needs two table rows per support: they are
-# OR-ed into one union per (class of j1, class of j2) pair and pattern
-# variant, supports inside one class into a fixed union, and each class is
-# its fixed union OR one union per pair.
+# take the same negation and otherwise takes the complement.
+#
+# Offsets o and o ^ 1 of a run have the same count.  Square (1,2) negates
+# row 1 right of column 2, and row 1 enters a basis sign only at the basis's
+# smallest element, so the flip negates exactly the bases that miss {1, 2}:
+# up to a global sign, that is the chirotope relabeled by the transposition
+# (1 2) and reoriented on a subset of {1, 2}.  So only even offsets are
+# counted, and each count is written to offsets 2o and 2o+1.  With bit 0
+# clear, columns 1..3 share parity class 0 and column j takes the class
+# min(j-3, w-1).  A run of 2^w aligned classes therefore needs one table
+# row per support whose j1 and j2 share a class and two for the others:
+# they are OR-ed into a fixed union and one union per (class of j1, class
+# of j2) pair and pattern variant, and each even offset is its fixed union
+# OR one union per pair.
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=64)
@@ -589,7 +597,7 @@ def _run_plan(r: int, n: int, width: int) -> tuple:
     of each pair.  Slot 0 is the fixed union; pair p owns slots 1+2p
     (pattern kept) and 2+2p (pattern complemented).
     """
-    parity_class = np.clip(np.arange(n) - 1, 0, width)  # of each 0-based column
+    parity_class = np.clip(np.arange(n) - 2, 0, max(width - 1, 0))  # of each 0-based column
     supports = _mask_context(r, n)
     a, b = parity_class[supports[:, 0]], parity_class[supports[:, 1]]
     pairs, pair_of = np.unique(np.stack([a, b], axis=1)[a < b], axis=0, return_inverse=True)
@@ -609,7 +617,7 @@ def violation_block_size(table: np.ndarray, width: int = 0) -> int:
     One support's gathered rows, one per run and pattern variant, stay under
     a fixed cap; so do the rows of each step of the per-class combine.
     """
-    variants = 2 if width else 1
+    variants = 2 if width > 1 else 1
     return max(1, _BLOCK_BYTES // (variants * table.shape[2] * table.itemsize))
 
 
@@ -641,14 +649,15 @@ def violation_counts(table: np.ndarray, entries: np.ndarray, width: int = 0) -> 
             if index.shape[0] > 1:
                 rows = np.bitwise_or.reduce(rows.reshape(index.shape[0], -1, words), axis=0)
             target |= rows
-    # offset o of a run flips squares (1, 2)..(1, width+1) as its bits say;
-    # parity class g is negated by the parity of the bits below g
+    # even offset 2o of a run flips squares (1, 3)..(1, width+1) as the bits
+    # of o say; parity class g is negated by the parity of the bits below g
     unions = unions.reshape(-1, runs, words)
-    offsets = 1 << width
+    bits = max(width - 1, 0)
+    offsets = 1 << bits
     step = max(1, _BLOCK_BYTES // (runs * words * 8))  # offsets per step
-    below = (1 << np.arange(width + 1))[:, None] - 1
+    below = (1 << np.arange(bits + 1))[:, None] - 1
     kept = (1 + 2 * np.arange(pairs.shape[0]))[:, None]
-    violators = np.empty((offsets, runs), dtype=np.int64)
+    violators = np.empty((runs, offsets), dtype=np.int64)
     buffers = np.empty((2, min(step, offsets), runs, words), dtype=np.uint64)
     for lo in range(0, offsets, step):
         o = np.arange(lo, min(offsets, lo + step))
@@ -658,9 +667,10 @@ def violation_counts(table: np.ndarray, entries: np.ndarray, width: int = 0) -> 
         for slots in kept + (parity[pairs[:, 0]] ^ parity[pairs[:, 1]]):
             unions.take(slots, axis=0, out=part)
             out |= part
-        violators[lo : lo + o.shape[0]] = np.bitwise_count(out).sum(axis=2, dtype=np.int64)
-    violators = violators.T.reshape(-1)
-    return 2 * ((1 << (n - 1)) - violators)
+        violators[:, lo : lo + o.shape[0]] = np.bitwise_count(out).sum(axis=2, dtype=np.int64).T
+    if width:
+        violators = violators.repeat(2, axis=1)
+    return 2 * ((1 << (n - 1)) - violators.reshape(-1))
 
 
 def _require_countable(r: int, n: int) -> None:

@@ -9,7 +9,9 @@ after every completed batch of contiguous chunks (atomic write, refuse to
 resume on metadata mismatch).  The circuits engine counts a survey with a
 violation table: one, built in the calling process before any worker starts
 and shared by forked pool workers, or, when the pool starts its workers by
-spawn or forkserver, one built in each worker.
+spawn or forkserver, one built in each worker.  It counts a chunk of the
+lower half of the class space once for its mirror in the upper half too,
+whose classes have the same counts.
 
 ``verify_case`` wraps the survey presets whose expected maximizer counts are
 known, reporting one pass/fail line per assertion.  ``engine_crosscheck``
@@ -28,7 +30,6 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass
-from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -301,13 +302,18 @@ def _run_width(r: int, n: int, length: int) -> int:
     """Width of the runs that count a chunk of ``length`` classes.
 
     Any aligned power-of-two part of a run of chessboard row 1 is itself a
-    run.  Per class, runs of 2^w classes gather 2 C(n, r+1) / 2^w table rows
-    and OR one union per pair of the w+1 parity classes; of the widths that
-    fit the chunk and row 1, this takes the one with the fewest.
+    run.  Per class, runs of 2^w classes gather each support of their plan
+    once, or twice when it is in a pair's unions, over 2^w classes, and OR
+    one union per pair at each of the 2^(w-1) even offsets; of the widths
+    that fit the chunk and row 1, this takes the one with the fewest rows.
     """
-    supports = comb(n, r + 1)
+    def rows(w: int) -> float:
+        _, _, groups, pairs = sign_core._run_plan(r, n, w)
+        gathered = sum((end - start) * (2 if slot else 1) for slot, start, end in groups)
+        return gathered / (1 << w) + len(pairs) / 2
+
     widest = min(n - r - 1, length.bit_length() - 1)
-    return min(range(widest + 1), key=lambda w: 2 * supports / (1 << w) + w * (w + 1) / 2)
+    return min(range(widest + 1), key=rows)
 
 
 def _run_table_chunk(
@@ -372,7 +378,9 @@ def _init_worker(cfg: SurveyConfig, table: np.ndarray | None, classes: int | Non
     _WORKER_STATE = cfg, table
 
 
-def _worker_chunk(job: tuple[range, int, int]) -> tuple[range, dict, int | None]:
+def _worker_chunk(
+    job: tuple[tuple[range, ...], int, int]
+) -> tuple[tuple[range, ...], dict, int | None]:
     chunk_ids, lo, hi = job
     hist, alt = _run_chunk(*_WORKER_STATE, lo, hi)
     return chunk_ids, dict(hist), alt
@@ -392,30 +400,66 @@ def _chunk_bounds(lo: int, hi: int, size: int) -> list[tuple[int, int, int]]:
     ]
 
 
-def _chunk_jobs(cfg: SurveyConfig, skip: set[int]) -> list[tuple[range, int, int]]:
-    """Batches of contiguous pending chunks as (chunk ids, first index, end index).
+# Classes i and i ^ 2^(N-1) of a space of 2^N classes have the same f.  The
+# top index bit N-1 is square (r-1, n-2), and flipping it negates a[r][n-1] and
+# a[r][n].  Row r enters a basis sign only at the basis's largest element,
+# so the flip negates exactly the bases that meet {n-1, n}.  Relabeling by
+# the transposition (n-1 n) maps a basis meeting one of the two to the one
+# meeting the other, whose sign differs by a[r][n-1] a[r][n], and negates a
+# basis holding both.  So the flipped chirotope is the relabeled one up to a
+# reorientation of a subset of {n-1, n} and a global sign, and f, which no
+# relabeling or reorientation changes, is the same.  A chunk in the lower
+# half is therefore counted for itself and for its mirror, the chunk 2^(N-1)
+# classes above it.
+
+def _chunk_jobs(
+    cfg: SurveyConfig, skip: set[int]
+) -> list[tuple[tuple[range, ...], int, int]]:
+    """Batches of pending chunks as (chunk id ranges, first index, end index).
+
+    A batch's first range holds the contiguous chunks it counts.  With the
+    circuits engine, a pending chunk [a, b) in the lower half of the class
+    space whose mirror [a + half, b + half) is a pending chunk with exactly
+    those bounds counts for both: its batch holds the mirrors as a second
+    range, whose chunks are not counted on their own.  The travels engine
+    counts every class, so that it stays an independent check.
 
     One batch is counted by one call and checkpointed by one write, so small
     chunks do not pay the fixed cost of a call and a write each.  A batch
-    holds up to ceil(DEFAULT_CHUNK_SIZE / chunk_size) chunks, so one chunk
+    counts up to ceil(DEFAULT_CHUNK_SIZE / chunk_size) chunks, so one chunk
     at DEFAULT_CHUNK_SIZE or more, and few enough that every worker still
     gets at least four batches when there are enough chunks.  Past
-    _MAX_BATCHES pending chunks it holds ceil(pending / _MAX_BATCHES) of
+    _MAX_BATCHES chunks to count it counts ceil(counted / _MAX_BATCHES) of
     them instead, since every write rewrites all completed chunk ids.
     """
     pending = [job for job in _chunk_bounds(*cfg.bounds(), cfg.chunk_size) if job[0] not in skip]
+    half = class_count(cfg.rank, cfg.elements) // 2
+    mirror = {}
+    if cfg.engine == "circuits" and half:
+        by_bounds = {(a, b): cid for cid, a, b in pending}
+        for cid, a, b in pending:
+            if b <= half and (a + half, b + half) in by_bounds:
+                mirror[cid] = by_bounds[a + half, b + half]
+    mirrored = set(mirror.values())
+    counted = [job for job in pending if job[0] not in mirrored]
     per_batch = max(
         1,
-        -(-len(pending) // _MAX_BATCHES),
-        min(-(-DEFAULT_CHUNK_SIZE // cfg.chunk_size), len(pending) // (4 * cfg.threads)),
+        -(-len(counted) // _MAX_BATCHES),
+        min(-(-DEFAULT_CHUNK_SIZE // cfg.chunk_size), len(counted) // (4 * cfg.threads)),
     )
-    batches: list[tuple[range, int, int]] = []
-    for cid, a, b in pending:
-        if batches and batches[-1][0].stop == cid and len(batches[-1][0]) < per_batch:
-            ids, first, _ = batches[-1]
-            batches[-1] = (range(ids.start, cid + 1), first, b)
+    batches: list[tuple[tuple[range, ...], int, int]] = []
+    for cid, a, b in counted:
+        unit = (cid, mirror[cid]) if cid in mirror else (cid,)
+        last = batches[-1][0] if batches else ()
+        if (
+            len(last) == len(unit)
+            and len(last[0]) < per_batch
+            and all(ids.stop == u for ids, u in zip(last, unit))
+        ):
+            grown = tuple(range(ids.start, u + 1) for ids, u in zip(last, unit))
+            batches[-1] = (grown, batches[-1][1], b)
         else:
-            batches.append((range(cid, cid + 1), a, b))
+            batches.append((tuple(range(u, u + 1) for u in unit), a, b))
     return batches
 
 
@@ -460,9 +504,9 @@ def run_survey(cfg: SurveyConfig) -> SurveyResult:
 
     jobs = _chunk_jobs(cfg, checkpoint.completed_chunks)
 
-    def absorb(chunk_ids: range, hist: dict, alt: int | None) -> None:
-        checkpoint.partial_histogram.update(hist)
-        checkpoint.completed_chunks.update(chunk_ids)
+    def absorb(chunk_ids: tuple[range, ...], hist: dict, alt: int | None) -> None:
+        checkpoint.partial_histogram.update({f: c * len(chunk_ids) for f, c in hist.items()})
+        checkpoint.completed_chunks.update(*chunk_ids)
         if alt is not None:
             checkpoint.alternating_class_f = alt
         if cfg.checkpoint_path is not None:

@@ -292,6 +292,16 @@ class TestErrorHandling:
         assert code == 1
         assert str(path) in err and "Expecting ':' delimiter" in err
 
+    def test_out_directory_checked_before_counting(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "missing" / "result.json"
+        monkeypatch.setattr(survey_module, "run_survey", lambda cfg: 1 / 0)
+        code, out, err = run_cli(
+            capsys, "survey", "--rank", "3", "--elements", "5", "--k", "1", "--out", str(path)
+        )
+        assert code == 1 and out == ""
+        assert str(path) in err and "is not a directory" in err
+        assert not path.parent.exists()
+
     def test_bad_thread_count_names_the_value(self, capsys):
         code, out, err = run_cli(
             capsys, "survey", "--rank", "3", "--elements", "5", "--k", "1", "--threads", "0"

@@ -83,7 +83,8 @@ class TestRunSurvey:
         assert pools == [2, 2]  # chunk size 64 leaves one chunk, counted in-process
 
     def test_pool_starts_no_more_workers_than_batches(self, pools):
-        cfg = SurveyConfig(3, 6, 1, threads=8, chunk_size=8)
+        # four chunks; the lower two each count for their mirror too
+        cfg = SurveyConfig(3, 6, 1, threads=8, chunk_size=4)
         assert len(_chunk_jobs(cfg, set())) == 2
         base = result_fingerprint(run_survey(SurveyConfig(3, 6, 1)))
         assert result_fingerprint(run_survey(cfg)) == base
@@ -122,7 +123,36 @@ class TestRunSurvey:
 
 
 class TestChunkJobs:
-    """Pending chunks go out in batches of contiguous chunk ids."""
+    """Pending chunks go out in batches of contiguous chunk ids.  With the
+    circuits engine each lower chunk counts for its pending mirror, half the
+    class space above it, too; the travels engine counts every chunk."""
+
+    @staticmethod
+    def check(cfg, skip, per_batch, mirrored):
+        half = class_count(cfg.rank, cfg.elements) // 2
+        chunks = {cid: (a, b) for cid, a, b in _chunk_bounds(*cfg.bounds(), cfg.chunk_size)}
+        jobs = _chunk_jobs(cfg, skip)
+        ids = sorted(cid for batch, _, _ in jobs for ranges in batch for cid in ranges)
+        assert ids == sorted(chunks.keys() - skip)  # each pending chunk once
+        counted = [cid for batch, _, _ in jobs for cid in batch[0]]
+        assert counted == sorted(counted)  # counted in order
+        for batch, a, b in jobs:
+            assert (a, b) == (chunks[batch[0][0]][0], chunks[batch[0][-1]][1])
+            assert 1 <= len(batch[0]) <= per_batch
+            for twins in batch[1:]:  # each counted chunk stands for its mirror
+                assert [chunks[cid] for cid in twins] == [
+                    (a + half, b + half) for a, b in map(chunks.get, batch[0])
+                ]
+        assert sum(len(twins) for batch, _, _ in jobs for twins in batch[1:]) == mirrored
+        # a batch stops short of the cap only where the next counted chunk
+        # does not follow it, or one of the two has a mirror and the other not
+        for (batch, _, _), (following, _, _) in zip(jobs, jobs[1:]):
+            assert (
+                len(batch[0]) == per_batch
+                or following[0][0] != batch[0][-1] + 1
+                or len(following) != len(batch)
+            )
+        assert max(len(batch[0]) for batch, _, _ in jobs) == per_batch
 
     @pytest.mark.parametrize(
         "r,n,chunk_size,threads,index_range,skip,per_batch",
@@ -138,27 +168,38 @@ class TestChunkJobs:
     )
     def test_batches(self, r, n, chunk_size, threads, index_range, skip, per_batch):
         cfg = SurveyConfig(
+            r, n, 1, engine="travels", threads=threads, chunk_size=chunk_size,
+            index_range=index_range,
+        )
+        self.check(cfg, skip, per_batch, mirrored=0)
+
+    @pytest.mark.parametrize(
+        "r,n,chunk_size,threads,index_range,skip,per_batch,mirrored",
+        [
+            (3, 8, 4, 1, None, set(), 8, 32),  # 32 counted chunks: four batches a worker
+            (3, 8, 4, 2, None, {5, 6, 20, 63}, 4, 28),  # 32 counted // (4 * 2)
+            (3, 8, 4, 1, (5, 251), {1, 30}, 8, 28),  # chunk 1's mirror is cut by no chunk edge
+            (7, 11, 2048, 1, None, {0}, 2, 63),  # DEFAULT_CHUNK_SIZE classes a batch
+            (3, 8, 4, 3, None, set(range(60)), 1, 0),  # upper chunks only, too few to merge
+            (7, 11, DEFAULT_CHUNK_SIZE, 1, None, set(), 1, 32),
+            (7, 11, 5000, 2, None, {3}, 1, 0),  # no chunk edge at half the space
+            (3, 6, 3, 1, (1, 11), set(), 1, 1),  # [1, 3) and [9, 11), both cut by the range
+        ],
+    )
+    def test_mirrored_batches(
+        self, r, n, chunk_size, threads, index_range, skip, per_batch, mirrored
+    ):
+        cfg = SurveyConfig(
             r, n, 1, threads=threads, chunk_size=chunk_size, index_range=index_range
         )
-        chunks = {cid: (a, b) for cid, a, b in _chunk_bounds(*cfg.bounds(), chunk_size)}
-        jobs = _chunk_jobs(cfg, skip)
-        ids = [cid for batch, _, _ in jobs for cid in batch]
-        assert ids == sorted(chunks.keys() - skip)  # each pending chunk once, in order
-        for batch, a, b in jobs:
-            assert list(batch) == list(range(batch[0], batch[-1] + 1))
-            assert (a, b) == (chunks[batch[0]][0], chunks[batch[-1]][1])
-            assert 1 <= len(batch) <= per_batch
-        # a batch stops short of the cap only at a chunk that is not pending
-        for (batch, _, _), (following, _, _) in zip(jobs, jobs[1:]):
-            assert len(batch) == per_batch or following[0] != batch[-1] + 1
-        assert max(len(batch) for batch, _, _ in jobs) == per_batch
+        self.check(cfg, skip, per_batch, mirrored)
 
     def test_checkpoint_writes_stay_bounded(self):
         # every write rewrites all completed chunk ids: one write for each of
         # the 262144 default-size chunks of (7,13) would cost their square
         jobs = _chunk_jobs(SurveyConfig(7, 13, 2, threads=2), set())
         assert len(jobs) == 4096
-        assert {len(batch) for batch, _, _ in jobs} == {64}
+        assert {tuple(map(len, batch)) for batch, _, _ in jobs} == {(32, 32)}
 
 
 class TestCheckpointing:
@@ -235,6 +276,40 @@ class TestCheckpointing:
         run_survey(SurveyConfig(3, 6, 1, chunk_size=4, checkpoint_path=path, index_range=(0, 8)))
         with pytest.raises(CheckpointMismatchError):
             run_survey(SurveyConfig(3, 6, 1, chunk_size=4, checkpoint_path=path))
+
+    # (4,8) has 512 classes: chunks 0..15 are the lower half, 16..31 their mirrors
+    @pytest.mark.parametrize(
+        "done",
+        [set(range(16, 32)), {0}, {16}, {3, 20}, set(range(8))],
+        ids=["upper-half", "lower-of-a-pair", "upper-of-a-pair", "scattered", "first-batch"],
+    )
+    def test_resume_counts_each_chunk_once(self, tmp_path, monkeypatch, done):
+        path = tmp_path / "mirror.ckpt.json"
+        cfg = SurveyConfig(4, 8, 1, chunk_size=16, checkpoint_path=path)
+        table = _survey_table(cfg, class_count(4, 8))
+        hist, alternating = Counter(), None
+        for cid in done:
+            chunk_hist, chunk_alt = _run_chunk(cfg, table, cid * 16, cid * 16 + 16)
+            hist.update(chunk_hist)
+            alternating = alternating if chunk_alt is None else chunk_alt
+        save_checkpoint(path, Checkpoint(_checkpoint_meta(cfg), done, hist, alternating))
+
+        counted = []
+        real = survey_module._run_chunk
+
+        def recorded(cfg, table, lo, hi):
+            counted.extend(range(lo, hi))
+            return real(cfg, table, lo, hi)
+
+        monkeypatch.setattr(survey_module, "_run_chunk", recorded)
+        resumed = result_fingerprint(run_survey(cfg))
+        # no class counted twice or held by the checkpoint, and a chunk whose
+        # mirror is pending too is counted for both
+        pending = {c for c in range(512) if c // 16 not in done}
+        mirrors = {c for c in pending if c >= 256 and c - 256 in pending}
+        assert sorted(counted) == sorted(pending - mirrors)
+        assert resumed == result_fingerprint(run_survey(SurveyConfig(4, 8, 1)))
+        assert load_checkpoint(path).completed_chunks == set(range(32))
 
 
 class TestVerifyCase:
@@ -367,8 +442,10 @@ class TestTableEngine:
         assert _run_width(r, n, chunk_size) == n - r - 1
 
     def test_shorter_runs_where_pairs_outnumber_rows(self, monkeypatch):
-        # 2 C(14,3)/2^w + w(w+1)/2 table rows per class is least at w = 6, not 11
-        assert _run_width(2, 14, DEFAULT_CHUNK_SIZE) == 6
+        # gathered rows plus pair unions per class are fewest at w = 7, not
+        # 11; measured over the 2048 classes, w = 7 took 2.9 us per class
+        # against 3.8 at w = 6 and 4.6 at w = 11
+        assert _run_width(2, 14, DEFAULT_CHUNK_SIZE) == 7
         cfg = SurveyConfig(2, 14, 0)
         assert result_fingerprint(run_survey(cfg)) == self.mask_path(monkeypatch, cfg)
 
@@ -465,7 +542,9 @@ class TestTravelsSurvey:
         del d["engine"], d["elapsed_seconds"]
         return d
 
-    @pytest.mark.parametrize("r,n,k", [(4, 8, 1), (5, 8, 2)])
+    # the circuits engine counts each lower chunk for its mirror too; the
+    # travels engine counts every class
+    @pytest.mark.parametrize("r,n,k", [(4, 8, 1), (5, 8, 2), (3, 7, 1)])
     def test_matches_circuits(self, r, n, k):
         by_travels = self.payload(SurveyConfig(r, n, k, engine="travels"))
         assert by_travels == self.payload(SurveyConfig(r, n, k))
