@@ -429,7 +429,12 @@ def build_parser() -> _Parser:
                    help=chunk_help)
     p.add_argument("--checkpoint", help="checkpoint JSON path (resume if it exists)")
     p.add_argument("--out", help="write the result JSON to this path")
-    p.add_argument("--range", help="survey only class indices LO..HI (half-open)")
+    p.add_argument(
+        "--range",
+        help="survey only class indices LO..HI (half-open), counting each class in it; "
+        "without it the circuits engine counts the lower half of the classes and "
+        "doubles the histogram, so 0..N, N the class count, is the full-space check",
+    )
     p.add_argument("--crosscheck-samples", type=int, default=0,
                    help="verify this many sampled classes against the travels engine first")
     p.set_defaults(func=_cmd_survey)

@@ -611,6 +611,24 @@ def _run_plan(r: int, n: int, width: int) -> tuple:
     return supports[order], first_rows, groups, pairs.reshape(-1, 2)
 
 
+def _run_width(r: int, n: int, length: int) -> int:
+    """Width of the runs that count a chunk of ``length`` classes.
+
+    Any aligned power-of-two part of a run of chessboard row 1 is itself a
+    run.  Per class, runs of 2^w classes gather each support of their plan
+    once, or twice when it is in a pair's unions, over 2^w classes, and OR
+    one union per pair at each of the 2^(w-1) even offsets; of the widths
+    that fit the chunk and row 1, this takes the one with the fewest rows.
+    """
+    def rows(w: int) -> float:
+        _, _, groups, pairs = _run_plan(r, n, w)
+        gathered = sum((end - start) * (2 if slot else 1) for slot, start, end in groups)
+        return gathered / (1 << w) + len(pairs) / 2
+
+    widest = min(n - r - 1, length.bit_length() - 1)
+    return min(range(widest + 1), key=rows)
+
+
 def violation_block_size(table: np.ndarray, width: int = 0) -> int:
     """Runs of 2^width classes per violation_counts call.
 

@@ -9,9 +9,9 @@ after every completed batch of contiguous chunks (atomic write, refuse to
 resume on metadata mismatch).  The circuits engine counts a survey with a
 violation table: one, built in the calling process before any worker starts
 and shared by forked pool workers, or, when the pool starts its workers by
-spawn or forkserver, one built in each worker.  It counts a chunk of the
-lower half of the class space once for its mirror in the upper half too,
-whose classes have the same counts.
+spawn or forkserver, one built in each worker.  Its survey of the whole
+class space counts the lower half, whose mirror, the upper half, has the
+same counts, and doubles the histogram.
 
 ``verify_case`` wraps the survey presets whose expected maximizer counts are
 known, reporting one pass/fail line per assertion.  ``engine_crosscheck``
@@ -206,8 +206,9 @@ class Checkpoint:
 
 
 def _checkpoint_meta(cfg: SurveyConfig) -> dict:
-    lo, hi = cfg.bounds()
-    return {
+    """The survey a checkpoint belongs to; its range is the classes counted."""
+    quotient, lo, hi = _counted(cfg)
+    meta = {
         "rank": cfg.rank,
         "elements": cfg.elements,
         "k": cfg.k,
@@ -216,6 +217,9 @@ def _checkpoint_meta(cfg: SurveyConfig) -> dict:
         "encoding_version": ENCODING_VERSION,
         "range": [lo, hi],
     }
+    if quotient > 1:
+        meta["quotient"] = quotient
+    return meta
 
 
 def save_checkpoint(path: str | Path, cp: Checkpoint) -> None:
@@ -298,24 +302,6 @@ def _survey_table(cfg: SurveyConfig, classes: int) -> np.ndarray | None:
     return None
 
 
-def _run_width(r: int, n: int, length: int) -> int:
-    """Width of the runs that count a chunk of ``length`` classes.
-
-    Any aligned power-of-two part of a run of chessboard row 1 is itself a
-    run.  Per class, runs of 2^w classes gather each support of their plan
-    once, or twice when it is in a pair's unions, over 2^w classes, and OR
-    one union per pair at each of the 2^(w-1) even offsets; of the widths
-    that fit the chunk and row 1, this takes the one with the fewest rows.
-    """
-    def rows(w: int) -> float:
-        _, _, groups, pairs = sign_core._run_plan(r, n, w)
-        gathered = sum((end - start) * (2 if slot else 1) for slot, start, end in groups)
-        return gathered / (1 << w) + len(pairs) / 2
-
-    widest = min(n - r - 1, length.bit_length() - 1)
-    return min(range(widest + 1), key=rows)
-
-
 def _run_table_chunk(
     cfg: SurveyConfig, table: np.ndarray, lo: int, hi: int
 ) -> tuple[Counter, int | None]:
@@ -324,7 +310,7 @@ def _run_table_chunk(
     The runs cut by lo or hi are counted whole and trimmed to the range.
     """
     r, n = cfg.rank, cfg.elements
-    width = _run_width(r, n, hi - lo)
+    width = sign_core._run_width(r, n, hi - lo)
     step = sign_core.violation_block_size(table, width) << width
     counts = np.zeros((1 << n) + 1, dtype=np.int64)
     alternating_f = None
@@ -378,9 +364,7 @@ def _init_worker(cfg: SurveyConfig, table: np.ndarray | None, classes: int | Non
     _WORKER_STATE = cfg, table
 
 
-def _worker_chunk(
-    job: tuple[tuple[range, ...], int, int]
-) -> tuple[tuple[range, ...], dict, int | None]:
+def _worker_chunk(job: tuple[range, int, int]) -> tuple[range, dict, int | None]:
     chunk_ids, lo, hi = job
     hist, alt = _run_chunk(*_WORKER_STATE, lo, hi)
     return chunk_ids, dict(hist), alt
@@ -408,58 +392,50 @@ def _chunk_bounds(lo: int, hi: int, size: int) -> list[tuple[int, int, int]]:
 # meeting the other, whose sign differs by a[r][n-1] a[r][n], and negates a
 # basis holding both.  So the flipped chirotope is the relabeled one up to a
 # reorientation of a subset of {n-1, n} and a global sign, and f, which no
-# relabeling or reorientation changes, is the same.  A chunk in the lower
-# half is therefore counted for itself and for its mirror, the chunk 2^(N-1)
-# classes above it.
+# relabeling or reorientation changes, is the same.  The lower half of the
+# class space therefore has the histogram of the upper half.
 
-def _chunk_jobs(
-    cfg: SurveyConfig, skip: set[int]
-) -> list[tuple[tuple[range, ...], int, int]]:
-    """Batches of pending chunks as (chunk id ranges, first index, end index).
+def _counted(cfg: SurveyConfig) -> tuple[int, int, int]:
+    """(quotient, first index, end index): the classes a survey counts.
 
-    A batch's first range holds the contiguous chunks it counts.  With the
-    circuits engine, a pending chunk [a, b) in the lower half of the class
-    space whose mirror [a + half, b + half) is a pending chunk with exactly
-    those bounds counts for both: its batch holds the mirrors as a second
-    range, whose chunks are not counted on their own.  The travels engine
-    counts every class, so that it stays an independent check.
-
-    One batch is counted by one call and checkpointed by one write, so small
-    chunks do not pay the fixed cost of a call and a write each.  A batch
-    counts up to ceil(DEFAULT_CHUNK_SIZE / chunk_size) chunks, so one chunk
-    at DEFAULT_CHUNK_SIZE or more, and few enough that every worker still
-    gets at least four batches when there are enough chunks.  Past
-    _MAX_BATCHES chunks to count it counts ceil(counted / _MAX_BATCHES) of
-    them instead, since every write rewrites all completed chunk ids.
+    A circuits survey of the whole space counts its lower half, and each
+    count stands for quotient = 2 classes.  Every other survey counts each
+    class in its bounds once: the travels engine, so that it stays an
+    independent check, and every ``index_range``, so that a range of the
+    whole space is the full-space check.
     """
-    pending = [job for job in _chunk_bounds(*cfg.bounds(), cfg.chunk_size) if job[0] not in skip]
-    half = class_count(cfg.rank, cfg.elements) // 2
-    mirror = {}
-    if cfg.engine == "circuits" and half:
-        by_bounds = {(a, b): cid for cid, a, b in pending}
-        for cid, a, b in pending:
-            if b <= half and (a + half, b + half) in by_bounds:
-                mirror[cid] = by_bounds[a + half, b + half]
-    mirrored = set(mirror.values())
-    counted = [job for job in pending if job[0] not in mirrored]
+    lo, hi = cfg.bounds()
+    if cfg.engine == "circuits" and cfg.index_range is None and hi > 1:
+        return 2, lo, hi // 2
+    return 1, lo, hi
+
+
+def _chunk_jobs(cfg: SurveyConfig, skip: set[int]) -> list[tuple[range, int, int]]:
+    """Batches of contiguous pending chunks as (chunk ids, first index, end index).
+
+    Chunks cover the classes ``_counted`` names.  One batch is counted by
+    one call and checkpointed by one write, so small chunks do not pay the
+    fixed cost of a call and a write each.  A batch holds up to
+    ceil(DEFAULT_CHUNK_SIZE / chunk_size) chunks, so one chunk at
+    DEFAULT_CHUNK_SIZE or more, and few enough that every worker still gets
+    at least four batches when there are enough chunks.  Past _MAX_BATCHES
+    pending chunks it holds ceil(pending / _MAX_BATCHES) of them instead,
+    since every write rewrites all completed chunk ids.
+    """
+    _, lo, hi = _counted(cfg)
+    pending = [job for job in _chunk_bounds(lo, hi, cfg.chunk_size) if job[0] not in skip]
     per_batch = max(
         1,
-        -(-len(counted) // _MAX_BATCHES),
-        min(-(-DEFAULT_CHUNK_SIZE // cfg.chunk_size), len(counted) // (4 * cfg.threads)),
+        -(-len(pending) // _MAX_BATCHES),
+        min(-(-DEFAULT_CHUNK_SIZE // cfg.chunk_size), len(pending) // (4 * cfg.threads)),
     )
-    batches: list[tuple[tuple[range, ...], int, int]] = []
-    for cid, a, b in counted:
-        unit = (cid, mirror[cid]) if cid in mirror else (cid,)
-        last = batches[-1][0] if batches else ()
-        if (
-            len(last) == len(unit)
-            and len(last[0]) < per_batch
-            and all(ids.stop == u for ids, u in zip(last, unit))
-        ):
-            grown = tuple(range(ids.start, u + 1) for ids, u in zip(last, unit))
-            batches[-1] = (grown, batches[-1][1], b)
+    batches: list[tuple[range, int, int]] = []
+    for cid, a, b in pending:
+        if batches and batches[-1][0].stop == cid and len(batches[-1][0]) < per_batch:
+            ids, first, _ = batches[-1]
+            batches[-1] = (range(ids.start, cid + 1), first, b)
         else:
-            batches.append((tuple(range(u, u + 1) for u in unit), a, b))
+            batches.append((range(cid, cid + 1), a, b))
     return batches
 
 
@@ -478,7 +454,14 @@ def run_survey(cfg: SurveyConfig) -> SurveyResult:
     starts its workers other than by fork, and then once in each worker.
     """
     start = time.perf_counter()
+    if cfg.checkpoint_path is not None and not Path(cfg.checkpoint_path).parent.is_dir():
+        # checked before counting, so that no count is lost for want of a place to save it
+        raise ValueError(
+            f"checkpoint {cfg.checkpoint_path}: "
+            f"{Path(cfg.checkpoint_path).parent} is not a directory"
+        )
     lo, hi = cfg.bounds()
+    quotient, first, end = _counted(cfg)
 
     if cfg.crosscheck_samples:
         report = engine_crosscheck(
@@ -504,9 +487,9 @@ def run_survey(cfg: SurveyConfig) -> SurveyResult:
 
     jobs = _chunk_jobs(cfg, checkpoint.completed_chunks)
 
-    def absorb(chunk_ids: tuple[range, ...], hist: dict, alt: int | None) -> None:
-        checkpoint.partial_histogram.update({f: c * len(chunk_ids) for f, c in hist.items()})
-        checkpoint.completed_chunks.update(*chunk_ids)
+    def absorb(chunk_ids: range, hist: dict, alt: int | None) -> None:
+        checkpoint.partial_histogram.update(hist)
+        checkpoint.completed_chunks.update(chunk_ids)
         if alt is not None:
             checkpoint.alternating_class_f = alt
         if cfg.checkpoint_path is not None:
@@ -514,7 +497,7 @@ def run_survey(cfg: SurveyConfig) -> SurveyResult:
 
     serial = cfg.threads == 1 or len(jobs) <= 1
     in_parent = serial or multiprocessing.get_start_method() == "fork"
-    table = _survey_table(cfg, hi - lo) if jobs and in_parent else None
+    table = _survey_table(cfg, end - first) if jobs and in_parent else None
     if serial:
         for chunk_ids, a, b in jobs:
             hist, alt = _run_chunk(cfg, table, a, b)
@@ -523,12 +506,12 @@ def run_survey(cfg: SurveyConfig) -> SurveyResult:
         with multiprocessing.Pool(
             processes=min(cfg.threads, len(jobs)),
             initializer=_init_worker,
-            initargs=(cfg, table, None if in_parent else hi - lo),
+            initargs=(cfg, table, None if in_parent else end - first),
         ) as pool:
             for chunk_ids, hist, alt in pool.imap_unordered(_worker_chunk, jobs):
                 absorb(chunk_ids, hist, alt)
 
-    hist = checkpoint.partial_histogram
+    hist = {f: c * quotient for f, c in checkpoint.partial_histogram.items()}
     alternating_f = checkpoint.alternating_class_f
     surveyed = sum(hist.values())
     odd = sorted(f for f in hist if f % 2)
@@ -552,7 +535,7 @@ def run_survey(cfg: SurveyConfig) -> SurveyResult:
         maximizer_count_total=maximizers,
         maximizer_count_excluding_alternating=maximizers - exclude_alt,
         alternating_class_f=alternating_f,
-        histogram=dict(hist),
+        histogram=hist,
         elapsed_seconds=time.perf_counter() - start,
         index_range=cfg.index_range,
     )

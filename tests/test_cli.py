@@ -302,6 +302,19 @@ class TestErrorHandling:
         assert str(path) in err and "is not a directory" in err
         assert not path.parent.exists()
 
+    def test_checkpoint_directory_checked_before_counting(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "missing" / "cp.json"
+        monkeypatch.setattr(survey_module, "_run_chunk", lambda *args: 1 / 0)
+        for argv in (
+            ("survey", "--rank", "3", "--elements", "5", "--k", "1"),
+            ("verify", "--case", "r3n5k1"),
+        ):
+            code, out, err = run_cli(capsys, *argv, "--checkpoint", str(path))
+            assert code == 1 and out == "", argv
+            assert f"checkpoint {path}:" in err and "is not a directory" in err, argv
+            assert ".tmp" not in err, argv
+        assert not path.parent.exists()
+
     def test_bad_thread_count_names_the_value(self, capsys):
         code, out, err = run_cli(
             capsys, "survey", "--rank", "3", "--elements", "5", "--k", "1", "--threads", "0"
@@ -381,7 +394,7 @@ class TestKillAndResume:
             proc.stderr.close()
         assert proc.returncode == -signal.SIGKILL
         done = len(load_checkpoint(checkpoint).completed_chunks)
-        assert 0 < done < class_count(7, 11) // 64  # killed mid-run
+        assert 0 < done < class_count(7, 11) // 2 // 64  # killed mid-run, in the lower half
         resumed = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=600)
         assert resumed.returncode == 0, resumed.stderr
         got = json.loads(resumed.stdout)

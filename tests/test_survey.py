@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -11,8 +13,8 @@ import pytest
 import lomlab.sign_core as sign_core
 import lomlab.survey as survey_module
 from conftest import brute_force_count
-from lomlab.chessboard import class_count, representative_of_index
-from lomlab.sign_core import violation_table_nbytes
+from lomlab.chessboard import ENCODING_VERSION, class_count, representative_of_index
+from lomlab.sign_core import _run_width, violation_table_nbytes
 from lomlab.survey import (
     DEFAULT_CHUNK_SIZE,
     PRESETS,
@@ -24,7 +26,6 @@ from lomlab.survey import (
     _chunk_bounds,
     _chunk_jobs,
     _run_chunk,
-    _run_width,
     _survey_table,
     engine_crosscheck,
     load_checkpoint,
@@ -83,7 +84,7 @@ class TestRunSurvey:
         assert pools == [2, 2]  # chunk size 64 leaves one chunk, counted in-process
 
     def test_pool_starts_no_more_workers_than_batches(self, pools):
-        # four chunks; the lower two each count for their mirror too
+        # the lower half of the 16 classes is two chunks of 4
         cfg = SurveyConfig(3, 6, 1, threads=8, chunk_size=4)
         assert len(_chunk_jobs(cfg, set())) == 2
         base = result_fingerprint(run_survey(SurveyConfig(3, 6, 1)))
@@ -122,37 +123,75 @@ class TestRunSurvey:
             SurveyConfig(3, 5, 1, index_range=(2, 99))
 
 
+@pytest.fixture
+def counted(monkeypatch):
+    """Class indices that surveys count during the test, in the order counted."""
+    indices = []
+    real = survey_module._run_chunk
+
+    def recorded(cfg, table, lo, hi):
+        indices.extend(range(lo, hi))
+        return real(cfg, table, lo, hi)
+
+    monkeypatch.setattr(survey_module, "_run_chunk", recorded)
+    return indices
+
+
+class TestQuotient:
+    """A circuits survey of the whole space counts its lower half and doubles
+    the histogram; a range survey, even of the whole space, and a travels
+    survey count every class."""
+
+    @pytest.mark.parametrize("r,n,k", [(2, 9, 0), (3, 7, 1), (4, 8, 1), (5, 9, 2), (6, 10, 2)])
+    def test_matches_the_range_of_the_whole_space(self, counted, r, n, k):
+        classes = class_count(r, n)
+        quotiented = run_survey(SurveyConfig(r, n, k)).to_json_dict()
+        assert sorted(counted) == list(range(classes // 2))
+        counted.clear()
+        ranged = run_survey(SurveyConfig(r, n, k, index_range=(0, classes))).to_json_dict()
+        assert sorted(counted) == list(range(classes))
+        for payload in (quotiented, ranged):
+            payload.pop("elapsed_seconds")
+        assert ranged.pop("range") == [0, classes]
+        assert json.dumps(quotiented) == json.dumps(ranged)
+
+    @pytest.mark.parametrize("chunk_size", [7, 1000, DEFAULT_CHUNK_SIZE])
+    def test_counts_the_lower_half_at_any_chunk_size(self, counted, chunk_size):
+        # 1000 and 7 do not divide the 131072 classes of the lower half of (7,11)
+        result = run_survey(SurveyConfig(7, 11, 2, chunk_size=chunk_size))
+        assert sorted(counted) == list(range(131072))
+        assert result.surveyed == sum(result.histogram.values()) == 262144
+
+    def test_range_across_half_the_space_counts_each_class(self, counted):
+        result = run_survey(SurveyConfig(4, 8, 1, chunk_size=16, index_range=(200, 300)))
+        assert counted == list(range(200, 300))
+        assert sum(result.histogram.values()) == 100
+
+    def test_travels_counts_every_class(self, counted):
+        run_survey(SurveyConfig(4, 8, 1, engine="travels", chunk_size=7))
+        assert counted == list(range(512))
+
+
 class TestChunkJobs:
-    """Pending chunks go out in batches of contiguous chunk ids.  With the
-    circuits engine each lower chunk counts for its pending mirror, half the
-    class space above it, too; the travels engine counts every chunk."""
+    """Pending chunks go out in batches of contiguous chunk ids.  The chunks
+    cover the classes a survey counts: the lower half of the space for a
+    circuits survey of the whole space, whose upper half mirrors it, and
+    every class in its bounds for any other survey."""
 
     @staticmethod
-    def check(cfg, skip, per_batch, mirrored):
-        half = class_count(cfg.rank, cfg.elements) // 2
-        chunks = {cid: (a, b) for cid, a, b in _chunk_bounds(*cfg.bounds(), cfg.chunk_size)}
+    def check(cfg, bounds, skip, per_batch):
+        chunks = {cid: (a, b) for cid, a, b in _chunk_bounds(*bounds, cfg.chunk_size)}
         jobs = _chunk_jobs(cfg, skip)
-        ids = sorted(cid for batch, _, _ in jobs for ranges in batch for cid in ranges)
-        assert ids == sorted(chunks.keys() - skip)  # each pending chunk once
-        counted = [cid for batch, _, _ in jobs for cid in batch[0]]
-        assert counted == sorted(counted)  # counted in order
+        ids = [cid for batch, _, _ in jobs for cid in batch]
+        assert ids == sorted(chunks.keys() - skip)  # each pending chunk once, in order
         for batch, a, b in jobs:
-            assert (a, b) == (chunks[batch[0][0]][0], chunks[batch[0][-1]][1])
-            assert 1 <= len(batch[0]) <= per_batch
-            for twins in batch[1:]:  # each counted chunk stands for its mirror
-                assert [chunks[cid] for cid in twins] == [
-                    (a + half, b + half) for a, b in map(chunks.get, batch[0])
-                ]
-        assert sum(len(twins) for batch, _, _ in jobs for twins in batch[1:]) == mirrored
-        # a batch stops short of the cap only where the next counted chunk
-        # does not follow it, or one of the two has a mirror and the other not
+            assert (a, b) == (chunks[batch[0]][0], chunks[batch[-1]][1])
+            assert 1 <= len(batch) <= per_batch
+        # a batch stops short of the cap only where the next chunk does not follow it
         for (batch, _, _), (following, _, _) in zip(jobs, jobs[1:]):
-            assert (
-                len(batch[0]) == per_batch
-                or following[0][0] != batch[0][-1] + 1
-                or len(following) != len(batch)
-            )
-        assert max(len(batch[0]) for batch, _, _ in jobs) == per_batch
+            assert len(batch) == per_batch or following[0] != batch[-1] + 1
+        assert max(len(batch) for batch, _, _ in jobs) == per_batch
+        return ids
 
     @pytest.mark.parametrize(
         "r,n,chunk_size,threads,index_range,skip,per_batch",
@@ -171,35 +210,39 @@ class TestChunkJobs:
             r, n, 1, engine="travels", threads=threads, chunk_size=chunk_size,
             index_range=index_range,
         )
-        self.check(cfg, skip, per_batch, mirrored=0)
+        self.check(cfg, cfg.bounds(), skip, per_batch)
 
+    # the circuits engine's chunks of a whole-space survey stop at half the
+    # space; those of a range cover all of it
     @pytest.mark.parametrize(
-        "r,n,chunk_size,threads,index_range,skip,per_batch,mirrored",
+        "r,n,chunk_size,threads,index_range,skip,per_batch,pending",
         [
-            (3, 8, 4, 1, None, set(), 8, 32),  # 32 counted chunks: four batches a worker
-            (3, 8, 4, 2, None, {5, 6, 20, 63}, 4, 28),  # 32 counted // (4 * 2)
-            (3, 8, 4, 1, (5, 251), {1, 30}, 8, 28),  # chunk 1's mirror is cut by no chunk edge
+            (3, 8, 4, 1, None, set(), 8, 32),  # 32 chunks of the lower half: four batches a worker
+            (3, 8, 4, 2, None, {5, 6, 20}, 3, 29),  # 29 pending // (4 * 2)
+            (3, 8, 4, 1, (5, 251), {1, 30}, 15, 60),  # chunks 1..62, across half the space
             (7, 11, 2048, 1, None, {0}, 2, 63),  # DEFAULT_CHUNK_SIZE classes a batch
-            (3, 8, 4, 3, None, set(range(60)), 1, 0),  # upper chunks only, too few to merge
+            (3, 8, 4, 3, None, set(range(28)), 1, 4),  # too few pending chunks to merge
             (7, 11, DEFAULT_CHUNK_SIZE, 1, None, set(), 1, 32),
-            (7, 11, 5000, 2, None, {3}, 1, 0),  # no chunk edge at half the space
-            (3, 6, 3, 1, (1, 11), set(), 1, 1),  # [1, 3) and [9, 11), both cut by the range
+            (7, 11, 5000, 2, None, {3}, 1, 26),  # the last chunk is cut at half the space
+            (3, 6, 3, 1, (7, 9), set(), 1, 1),  # [7, 9) across half the space, cut by the range
         ],
     )
     def test_mirrored_batches(
-        self, r, n, chunk_size, threads, index_range, skip, per_batch, mirrored
+        self, r, n, chunk_size, threads, index_range, skip, per_batch, pending
     ):
         cfg = SurveyConfig(
             r, n, 1, threads=threads, chunk_size=chunk_size, index_range=index_range
         )
-        self.check(cfg, skip, per_batch, mirrored)
+        bounds = index_range or (0, class_count(r, n) // 2)
+        assert len(self.check(cfg, bounds, skip, per_batch)) == pending
 
     def test_checkpoint_writes_stay_bounded(self):
         # every write rewrites all completed chunk ids: one write for each of
-        # the 262144 default-size chunks of (7,13) would cost their square
+        # the 131072 default-size chunks of the lower half of (7,13) would
+        # cost their square
         jobs = _chunk_jobs(SurveyConfig(7, 13, 2, threads=2), set())
         assert len(jobs) == 4096
-        assert {tuple(map(len, batch)) for batch, _, _ in jobs} == {(32, 32)}
+        assert {len(batch) for batch, _, _ in jobs} == {32}
 
 
 class TestCheckpointing:
@@ -216,10 +259,11 @@ class TestCheckpointing:
         direct = run_survey(SurveyConfig(3, 6, 1, chunk_size=4))
         assert result_fingerprint(resumed) == result_fingerprint(direct)
 
-        # the checkpoint on disk now covers all four chunks
+        # the checkpoint on disk now covers both chunks of the lower half,
+        # each of its 8 classes counted once
         final = load_checkpoint(path)
-        assert final.completed_chunks == {0, 1, 2, 3}
-        assert sum(final.partial_histogram.values()) == 16
+        assert final.completed_chunks == {0, 1}
+        assert sum(final.partial_histogram.values()) == 8
 
     def test_checkpoint_write_is_idempotent_when_complete(self, tmp_path):
         path = tmp_path / "done.ckpt.json"
@@ -240,7 +284,7 @@ class TestCheckpointing:
         cfg = SurveyConfig(8, 11, 2, threads=threads, chunk_size=64, checkpoint_path=path)
         table = _survey_table(cfg, class_count(8, 11))
         done, hist, alternating = set(), Counter(), None
-        for cid, a, b in _chunk_bounds(0, class_count(8, 11), 64)[::3]:
+        for cid, a, b in _chunk_bounds(0, class_count(8, 11) // 2, 64)[::3]:
             chunk_hist, chunk_alt = _run_chunk(cfg, table, a, b)
             done.add(cid)
             hist.update(chunk_hist)
@@ -251,7 +295,7 @@ class TestCheckpointing:
 
         resumed = run_survey(cfg)
         assert result_fingerprint(resumed) == result_fingerprint(run_survey(SurveyConfig(8, 11, 2)))
-        assert load_checkpoint(path).completed_chunks == set(range(256))
+        assert load_checkpoint(path).completed_chunks == set(range(128))
         assert pools == [2] * (threads > 1)
 
     def test_pool_writes_one_checkpoint_per_batch(self, tmp_path, monkeypatch, pools):
@@ -265,10 +309,11 @@ class TestCheckpointing:
         )
         pooled = result_fingerprint(run_survey(cfg))
         assert pooled == result_fingerprint(run_survey(SurveyConfig(8, 11, 2)))
-        # 256 chunks, 32 to a batch: four batches for each of the two workers
+        # 128 chunks in the lower half, 16 to a batch: four batches for each
+        # of the two workers
         assert len(saved) == len(_chunk_jobs(cfg, set())) == 8
-        assert saved == list(range(32, 257, 32))
-        assert load_checkpoint(path).completed_chunks == set(range(256))
+        assert saved == list(range(16, 129, 16))
+        assert load_checkpoint(path).completed_chunks == set(range(128))
         assert pools == [2]
 
     def test_range_mismatch_refused(self, tmp_path):
@@ -277,15 +322,28 @@ class TestCheckpointing:
         with pytest.raises(CheckpointMismatchError):
             run_survey(SurveyConfig(3, 6, 1, chunk_size=4, checkpoint_path=path))
 
-    # (4,8) has 512 classes: chunks 0..15 are the lower half, 16..31 their mirrors
+    # (4,8) has 512 classes in 32 chunks of 16.  The whole-space survey
+    # counts chunks 0..15, the lower half; the range survey of all 512
+    # counts every chunk, also those whose mirror, 16 chunks away, is done.
     @pytest.mark.parametrize(
-        "done",
-        [set(range(16, 32)), {0}, {16}, {3, 20}, set(range(8))],
-        ids=["upper-half", "lower-of-a-pair", "upper-of-a-pair", "scattered", "first-batch"],
+        "done,index_range",
+        [
+            (set(range(16, 32)), (0, 512)),
+            ({0}, (0, 512)),
+            ({16}, (0, 512)),
+            ({3, 12}, None),
+            (set(range(4)), None),
+            (set(range(8, 16)), None),
+            ({0, 5, 6, 15}, None),
+        ],
+        ids=[
+            "upper-half", "lower-of-a-pair", "upper-of-a-pair", "scattered", "first-batch",
+            "upper-half-of-the-lower", "scattered-ends",
+        ],
     )
-    def test_resume_counts_each_chunk_once(self, tmp_path, monkeypatch, done):
-        path = tmp_path / "mirror.ckpt.json"
-        cfg = SurveyConfig(4, 8, 1, chunk_size=16, checkpoint_path=path)
+    def test_resume_counts_each_chunk_once(self, tmp_path, counted, done, index_range):
+        path = tmp_path / "resume.ckpt.json"
+        cfg = SurveyConfig(4, 8, 1, chunk_size=16, checkpoint_path=path, index_range=index_range)
         table = _survey_table(cfg, class_count(4, 8))
         hist, alternating = Counter(), None
         for cid in done:
@@ -294,22 +352,50 @@ class TestCheckpointing:
             alternating = alternating if chunk_alt is None else chunk_alt
         save_checkpoint(path, Checkpoint(_checkpoint_meta(cfg), done, hist, alternating))
 
-        counted = []
-        real = survey_module._run_chunk
-
-        def recorded(cfg, table, lo, hi):
-            counted.extend(range(lo, hi))
-            return real(cfg, table, lo, hi)
-
-        monkeypatch.setattr(survey_module, "_run_chunk", recorded)
         resumed = result_fingerprint(run_survey(cfg))
-        # no class counted twice or held by the checkpoint, and a chunk whose
-        # mirror is pending too is counted for both
-        pending = {c for c in range(512) if c // 16 not in done}
-        mirrors = {c for c in pending if c >= 256 and c - 256 in pending}
-        assert sorted(counted) == sorted(pending - mirrors)
-        assert resumed == result_fingerprint(run_survey(SurveyConfig(4, 8, 1)))
-        assert load_checkpoint(path).completed_chunks == set(range(32))
+        # every pending class of the counted ones is counted once, and none
+        # that the checkpoint holds
+        end = 512 if index_range else 256
+        assert sorted(counted) == [c for c in range(end) if c // 16 not in done]
+        assert resumed == result_fingerprint(run_survey(SurveyConfig(4, 8, 1, index_range=index_range)))
+        assert load_checkpoint(path).completed_chunks == set(range(end // 16))
+
+    def test_quotient_recorded(self, tmp_path):
+        metas = {}
+        for name, cfg in {
+            "whole": SurveyConfig(4, 8, 1, chunk_size=16),
+            "range": SurveyConfig(4, 8, 1, chunk_size=16, index_range=(0, 512)),
+            "travels": SurveyConfig(4, 8, 1, chunk_size=16, engine="travels"),
+        }.items():
+            path = tmp_path / f"{name}.ckpt.json"
+            run_survey(dataclasses.replace(cfg, checkpoint_path=path))
+            metas[name] = json.loads(path.read_text())["meta"]
+        assert (metas["whole"]["quotient"], metas["whole"]["range"]) == (2, [0, 256])
+        for name in ("range", "travels"):
+            assert "quotient" not in metas[name] and metas[name]["range"] == [0, 512]
+
+    def test_whole_space_checkpoint_of_mirrored_chunks(self, tmp_path, counted):
+        # A whole-space checkpoint as earlier versions wrote it, pairing
+        # mirrored chunks: no quotient, and chunk 3 and its mirror 19 done by
+        # one count of chunk 3, added twice.
+        # The quotiented survey refuses it; the range survey of the whole
+        # space resumes it, since f(i) = f(i ^ 256) makes the doubled count exact.
+        path = tmp_path / "mirrored.ckpt.json"
+        meta = {
+            "rank": 4, "elements": 8, "k": 1, "engine": "circuits", "chunk_size": 16,
+            "encoding_version": ENCODING_VERSION, "range": [0, 512],
+        }
+        hist, _ = _run_chunk(SurveyConfig(4, 8, 1), None, 48, 64)
+        doubled = Counter({f: 2 * c for f, c in hist.items()})
+        save_checkpoint(path, Checkpoint(meta, {3, 19}, doubled, None))
+        with pytest.raises(CheckpointMismatchError, match="mirrored.ckpt.json"):
+            run_survey(SurveyConfig(4, 8, 1, chunk_size=16, checkpoint_path=path))
+
+        whole = run_survey(SurveyConfig(4, 8, 1)).histogram
+        counted.clear()
+        cfg = SurveyConfig(4, 8, 1, chunk_size=16, checkpoint_path=path, index_range=(0, 512))
+        assert run_survey(cfg).histogram == whole
+        assert counted == [c for c in range(512) if c // 16 not in (3, 19)]
 
 
 class TestVerifyCase:
@@ -462,6 +548,28 @@ class TestSelfChecks:
         with pytest.raises(CorruptCheckpointError, match="short.ckpt.json.*counts 1 classes"):
             run_survey(cfg)
 
+    def test_chunk_id_past_the_lower_half_refused(self, tmp_path):
+        # the 16 classes of (3,6) at chunk size 4: the lower half is chunks 0 and 1
+        path = tmp_path / "past.ckpt.json"
+        cfg = SurveyConfig(3, 6, 1, chunk_size=4, checkpoint_path=path)
+        self.write(path, cfg, {2}, {2: 4}, None)
+        with pytest.raises(CorruptCheckpointError, match=r"past.ckpt.json.*\[2\].*\[0,8\)"):
+            load_checkpoint(path)
+
+    def test_checkpoint_directory_checked_before_counting(self, tmp_path, monkeypatch):
+        path = tmp_path / "missing" / "cp.json"
+
+        def fail(*args):
+            raise AssertionError("counted before the checkpoint directory was checked")
+
+        monkeypatch.setattr(survey_module, "_run_chunk", fail)
+        monkeypatch.setattr(sign_core, "violation_table", fail)
+        with pytest.raises(ValueError, match=f"checkpoint {re.escape(str(path))}: .* is not a directory"):
+            run_survey(SurveyConfig(4, 8, 1, checkpoint_path=path))
+        with pytest.raises(ValueError, match=f"checkpoint {re.escape(str(path))}"):
+            verify_case("r4n8k1", checkpoint_path=path)
+        assert not path.parent.exists()
+
     def test_chunk_id_out_of_range_refused(self, tmp_path):
         path = tmp_path / "ids.ckpt.json"
         cfg = SurveyConfig(3, 6, 1, chunk_size=4, checkpoint_path=path)
@@ -491,8 +599,11 @@ class TestSelfChecks:
             return real(cfg, table, lo, hi - 1)
 
         monkeypatch.setattr(survey_module, "_run_chunk", lose_a_class)
-        with pytest.raises(RuntimeError, match="counts 15 classes of 16"):
+        # the whole-space survey doubles its count of the lower half, and so the loss
+        with pytest.raises(RuntimeError, match="counts 14 classes of 16"):
             run_survey(SurveyConfig(3, 6, 1))
+        with pytest.raises(RuntimeError, match="counts 15 classes of 16"):
+            run_survey(SurveyConfig(3, 6, 1, index_range=(0, 16)))
 
     def test_rank_one_rejected(self):
         with pytest.raises(ValueError, match="rank 1"):
@@ -542,8 +653,8 @@ class TestTravelsSurvey:
         del d["engine"], d["elapsed_seconds"]
         return d
 
-    # the circuits engine counts each lower chunk for its mirror too; the
-    # travels engine counts every class
+    # the circuits engine counts the lower half and doubles it; the travels
+    # engine counts every class
     @pytest.mark.parametrize("r,n,k", [(4, 8, 1), (5, 8, 2), (3, 7, 1)])
     def test_matches_circuits(self, r, n, k):
         by_travels = self.payload(SurveyConfig(r, n, k, engine="travels"))

@@ -2,9 +2,9 @@
 
 Flipping the top bit of a class index is the transposition (n-1 n), and
 flipping bit 0 is the transposition (1 2), each up to a reorientation of the
-transposed pair and a global sign.  The survey counts a chunk of the lower
-half of the class space for its mirror in the upper half, and a run counts
-only its even offsets, on these two facts.  They are checked here on the
+transposed pair and a global sign.  The survey of the whole class space
+counts its lower half for the upper half too, and a run counts only its
+even offsets, on these two facts.  They are checked here on the
 chirotope, which the circuits engine does not use, and on f class by class.
 """
 
