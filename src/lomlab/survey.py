@@ -237,9 +237,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a checkpoint and check it against its own metadata.
 
     Raises CorruptCheckpointError, naming the file, when the file is not a
-    checkpoint, names a chunk outside its range, holds a histogram that does
-    not total the classes of its completed chunks, or holds an alternating f
-    when the chunk holding class 0 is not done, or lacks one when it is.
+    checkpoint, names a chunk id that is not an integer chunk of its range,
+    holds a histogram that does not total the classes of its completed
+    chunks, or holds an alternating f when the chunk holding class 0 is not
+    done, or lacks one when it is.
     """
     try:
         data = json.loads(Path(path).read_text())
@@ -252,7 +253,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             alternating_class_f=data["partial_max"]["alternating_class_f"],
         )
         lo, hi = cp.meta["range"]
-        chunks = {cid: (a, b) for cid, a, b in _chunk_bounds(lo, hi, cp.meta["chunk_size"])}
+        size = cp.meta["chunk_size"]
+        ids = _chunk_ids(lo, hi, size)
     except (ValueError, KeyError, TypeError, AttributeError, ArithmeticError) as exc:
         raise CorruptCheckpointError(
             f"checkpoint {path} is not a survey checkpoint: {type(exc).__name__}: {exc}"
@@ -261,18 +263,21 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     def corrupt(problem: str) -> CorruptCheckpointError:
         return CorruptCheckpointError(f"checkpoint {path} is inconsistent: {problem}")
 
-    outside = sorted(cp.completed_chunks - chunks.keys(), key=str)
+    # the list, since a set keeps only one of 1 and true, which are equal
+    outside = {c for c in data["completed_chunks"] if type(c) is not int or c not in ids}
     if outside:
-        raise corrupt(f"chunk ids {outside} lie outside the range [{lo},{hi})")
+        raise corrupt(f"chunk ids {sorted(outside, key=str)} are not integer chunks of [{lo},{hi})")
     if any(c < 1 for c in cp.partial_histogram.values()):
         raise corrupt("histogram holds a count below 1")
-    covered = sum(b - a for cid, (a, b) in chunks.items() if cid in cp.completed_chunks)
+    done = cp.completed_chunks
+    # each completed chunk holds size classes, less those that lo and hi cut from the ends
+    covered = len(done) * size - lo % size * (ids.start in done) - -hi % size * (ids.stop - 1 in done)
     surveyed = sum(cp.partial_histogram.values())
     if surveyed != covered:
         raise corrupt(
             f"histogram counts {surveyed} classes, but the completed chunks cover {covered}"
         )
-    holds_zero = lo == 0 and 0 in cp.completed_chunks
+    holds_zero = lo == 0 and 0 in done
     if (cp.alternating_class_f is not None) != holds_zero:
         raise corrupt(
             f"alternating_class_f is {cp.alternating_class_f}, but the chunk holding "
@@ -374,14 +379,12 @@ def _worker_chunk(job: tuple[range, int, int]) -> tuple[range, dict, int | None]
 # the survey driver
 # ---------------------------------------------------------------------------
 
-def _chunk_bounds(lo: int, hi: int, size: int) -> list[tuple[int, int, int]]:
-    """(chunk id, first index, end index) of every chunk that meets [lo, hi)."""
-    if hi == lo:
-        return []
-    return [
-        (cid, max(lo, cid * size), min(hi, (cid + 1) * size))
-        for cid in range(lo // size, (hi - 1) // size + 1)
-    ]
+def _chunk_ids(lo: int, hi: int, size: int) -> range:
+    """Ids of the chunks of ``size`` classes that meet [lo, hi).
+
+    Chunk c holds the classes [max(lo, c * size), min(hi, (c + 1) * size)).
+    """
+    return range(lo // size, -(-hi // size))
 
 
 # Classes i and i ^ 2^(N-1) of a space of 2^N classes have the same f.  The
@@ -410,7 +413,7 @@ def _counted(cfg: SurveyConfig) -> tuple[int, int, int]:
     return 1, lo, hi
 
 
-def _chunk_jobs(cfg: SurveyConfig, skip: set[int]) -> list[tuple[range, int, int]]:
+def _chunk_jobs(cfg: SurveyConfig, completed: set[int]) -> list[tuple[range, int, int]]:
     """Batches of contiguous pending chunks as (chunk ids, first index, end index).
 
     Chunks cover the classes ``_counted`` names.  One batch is counted by
@@ -423,19 +426,23 @@ def _chunk_jobs(cfg: SurveyConfig, skip: set[int]) -> list[tuple[range, int, int
     since every write rewrites all completed chunk ids.
     """
     _, lo, hi = _counted(cfg)
-    pending = [job for job in _chunk_bounds(lo, hi, cfg.chunk_size) if job[0] not in skip]
+    ids = _chunk_ids(lo, hi, cfg.chunk_size)
+    done = sorted(completed)
+    pending = len(ids) - len(done)
     per_batch = max(
         1,
-        -(-len(pending) // _MAX_BATCHES),
-        min(-(-DEFAULT_CHUNK_SIZE // cfg.chunk_size), len(pending) // (4 * cfg.threads)),
+        -(-pending // _MAX_BATCHES),
+        min(-(-DEFAULT_CHUNK_SIZE // cfg.chunk_size), pending // (4 * cfg.threads)),
     )
     batches: list[tuple[range, int, int]] = []
-    for cid, a, b in pending:
-        if batches and batches[-1][0].stop == cid and len(batches[-1][0]) < per_batch:
-            ids, first, _ = batches[-1]
-            batches[-1] = (range(ids.start, cid + 1), first, b)
-        else:
-            batches.append((range(cid, cid + 1), a, b))
+    # fill each gap between completed chunks, every batch from where the last one ended
+    for a, stop in zip([ids.start] + [c + 1 for c in done], done + [ids.stop]):
+        first = max(lo, a * cfg.chunk_size)
+        while a < stop:
+            b = min(a + per_batch, stop)
+            end = min(hi, b * cfg.chunk_size)
+            batches.append((range(a, b), first, end))
+            a, first = b, end
     return batches
 
 
@@ -474,7 +481,7 @@ def run_survey(cfg: SurveyConfig) -> SurveyResult:
             )
 
     meta = _checkpoint_meta(cfg)
-    checkpoint = None
+    checkpoint = Checkpoint(meta, set(), Counter(), None)
     if cfg.checkpoint_path is not None and Path(cfg.checkpoint_path).exists():
         checkpoint = load_checkpoint(cfg.checkpoint_path)
         if checkpoint.meta != meta:
@@ -482,8 +489,6 @@ def run_survey(cfg: SurveyConfig) -> SurveyResult:
                 f"checkpoint at {cfg.checkpoint_path} was written for {checkpoint.meta}, "
                 f"refusing to resume a survey with {meta}"
             )
-    if checkpoint is None:
-        checkpoint = Checkpoint(meta, set(), Counter(), None)
 
     jobs = _chunk_jobs(cfg, checkpoint.completed_chunks)
 
@@ -552,7 +557,6 @@ class SurveyPreset:
     k: int
     expected_max_f: int | None = None
     expected_maximizers_excluding_alternating: int | None = None
-    long_running: bool = False
 
 
 PRESETS: dict[str, SurveyPreset] = {
@@ -563,15 +567,9 @@ PRESETS: dict[str, SurveyPreset] = {
     "r8n11k3": SurveyPreset(8, 11, 3, expected_maximizers_excluding_alternating=251),
     "r9n12k2": SurveyPreset(9, 12, 2, expected_maximizers_excluding_alternating=511),
     "r9n12k3": SurveyPreset(9, 12, 3, expected_maximizers_excluding_alternating=511),
-    "r8n12k2": SurveyPreset(
-        8, 12, 2, expected_maximizers_excluding_alternating=511, long_running=True
-    ),
-    "r8n12k3": SurveyPreset(
-        8, 12, 3, expected_maximizers_excluding_alternating=511, long_running=True
-    ),
-    "r9n13k3": SurveyPreset(
-        9, 13, 3, expected_maximizers_excluding_alternating=1023, long_running=True
-    ),
+    "r8n12k2": SurveyPreset(8, 12, 2, expected_maximizers_excluding_alternating=511),
+    "r8n12k3": SurveyPreset(8, 12, 3, expected_maximizers_excluding_alternating=511),
+    "r9n13k3": SurveyPreset(9, 13, 3, expected_maximizers_excluding_alternating=1023),
 }
 
 

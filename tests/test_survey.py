@@ -1,10 +1,12 @@
 import dataclasses
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -23,8 +25,9 @@ from lomlab.survey import (
     CorruptCheckpointError,
     SurveyConfig,
     _checkpoint_meta,
-    _chunk_bounds,
+    _chunk_ids,
     _chunk_jobs,
+    _counted,
     _run_chunk,
     _survey_table,
     engine_crosscheck,
@@ -180,12 +183,14 @@ class TestChunkJobs:
 
     @staticmethod
     def check(cfg, bounds, skip, per_batch):
-        chunks = {cid: (a, b) for cid, a, b in _chunk_bounds(*bounds, cfg.chunk_size)}
+        lo, hi = bounds
+        size = cfg.chunk_size
         jobs = _chunk_jobs(cfg, skip)
         ids = [cid for batch, _, _ in jobs for cid in batch]
-        assert ids == sorted(chunks.keys() - skip)  # each pending chunk once, in order
+        # each pending chunk once, in order
+        assert ids == [cid for cid in _chunk_ids(lo, hi, size) if cid not in skip]
         for batch, a, b in jobs:
-            assert (a, b) == (chunks[batch[0]][0], chunks[batch[-1]][1])
+            assert (a, b) == (max(lo, batch[0] * size), min(hi, (batch[-1] + 1) * size))
             assert 1 <= len(batch) <= per_batch
         # a batch stops short of the cap only where the next chunk does not follow it
         for (batch, _, _), (following, _, _) in zip(jobs, jobs[1:]):
@@ -244,6 +249,69 @@ class TestChunkJobs:
         assert len(jobs) == 4096
         assert {len(batch) for batch, _, _ in jobs} == {32}
 
+    @staticmethod
+    def greedy_batches(cfg, skip):
+        """The batches of a greedy merge over a list of every chunk of the counted range."""
+        _, lo, hi = _counted(cfg)
+        size = cfg.chunk_size
+        pending = [
+            (cid, max(lo, cid * size), min(hi, (cid + 1) * size))
+            for cid in range(lo // size, (hi - 1) // size + 1)
+            if cid not in skip
+        ]
+        per_batch = max(
+            1,
+            -(-len(pending) // survey_module._MAX_BATCHES),
+            min(-(-DEFAULT_CHUNK_SIZE // size), len(pending) // (4 * cfg.threads)),
+        )
+        batches = []
+        for cid, a, b in pending:
+            if batches and batches[-1][0].stop == cid and len(batches[-1][0]) < per_batch:
+                ids, first, _ = batches[-1]
+                batches[-1] = (range(ids.start, cid + 1), first, b)
+            else:
+                batches.append((range(cid, cid + 1), a, b))
+        return batches
+
+    def test_same_batches_as_a_greedy_merge(self):
+        rng = random.Random(16)
+        shapes = [(r, n) for r in range(2, 8) for n in range(r + 1, 15)]
+        cases = 0
+        while cases < 400:
+            r, n = rng.choice(shapes)
+            chunk_size = rng.choice([1, 7, 64, 1000, 4096])
+            total = class_count(r, n)
+            index_range = None
+            if rng.random() < 0.5:
+                lo = rng.randrange(total)
+                index_range = (lo, rng.randrange(lo + 1, total + 1))
+            cfg = SurveyConfig(
+                r, n, 1, engine=rng.choice(["circuits", "travels"]),
+                threads=rng.randint(1, 4), chunk_size=chunk_size, index_range=index_range,
+            )
+            _, lo, hi = _counted(cfg)
+            ids = _chunk_ids(lo, hi, chunk_size)
+            if len(ids) > 1 << 14:
+                continue
+            density = rng.choice([0, 0.01, 0.3, 0.5, 0.9, 1, rng.random()])
+            skip = {cid for cid in ids if rng.random() < density}
+            assert _chunk_jobs(cfg, skip) == self.greedy_batches(cfg, skip), (cfg, sorted(skip))
+            cases += 1
+
+    def test_frontier_batches_cost_no_memory_per_chunk(self):
+        # the 2^22 chunks of the lower half of (6,14) go out in 4096 batches,
+        # with no list of the chunks themselves
+        cfg = SurveyConfig(6, 14, 2)
+        tracemalloc.start()
+        try:
+            jobs = _chunk_jobs(cfg, set())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(jobs) == 4096
+        assert {len(batch) for batch, _, _ in jobs} == {1024}
+        assert peak < 1 << 20
+
 
 class TestCheckpointing:
     def test_resume_completes_partial_run(self, tmp_path):
@@ -284,8 +352,8 @@ class TestCheckpointing:
         cfg = SurveyConfig(8, 11, 2, threads=threads, chunk_size=64, checkpoint_path=path)
         table = _survey_table(cfg, class_count(8, 11))
         done, hist, alternating = set(), Counter(), None
-        for cid, a, b in _chunk_bounds(0, class_count(8, 11) // 2, 64)[::3]:
-            chunk_hist, chunk_alt = _run_chunk(cfg, table, a, b)
+        for cid in _chunk_ids(0, class_count(8, 11) // 2, 64)[::3]:
+            chunk_hist, chunk_alt = _run_chunk(cfg, table, cid * 64, (cid + 1) * 64)
             done.add(cid)
             hist.update(chunk_hist)
             alternating = alternating if chunk_alt is None else chunk_alt
@@ -573,9 +641,28 @@ class TestSelfChecks:
     def test_chunk_id_out_of_range_refused(self, tmp_path):
         path = tmp_path / "ids.ckpt.json"
         cfg = SurveyConfig(3, 6, 1, chunk_size=4, checkpoint_path=path)
-        self.write(path, cfg, {4}, {2: 4}, None)
-        with pytest.raises(CorruptCheckpointError, match=r"ids.ckpt.json.*\[4\]"):
-            load_checkpoint(path)
+        # 1.0 and true equal chunk 1, which holds classes 4..7; no survey writes them
+        for cid in [4, 1.0, True, "1", 1.5]:
+            self.write(path, cfg, {cid}, {2: 4}, None)
+            with pytest.raises(CorruptCheckpointError, match=rf"ids.ckpt.json.*\[{re.escape(repr(cid))}\]"):
+                load_checkpoint(path)
+
+    def test_frontier_checkpoint_loads_in_memory_of_its_completed_chunks(self, tmp_path):
+        # the lower half of the 2^19 chunks that count the lower half of (5,14):
+        # the load holds the file and these ids, about 21 MiB, and nothing for
+        # each chunk of the space
+        path = tmp_path / "frontier.ckpt.json"
+        cfg = SurveyConfig(5, 14, 1, checkpoint_path=path)
+        done = range(1 << 18)
+        self.write(path, cfg, set(done), {2: len(done) * DEFAULT_CHUNK_SIZE}, 2)
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.completed_chunks == set(done)
+        assert peak < 40 << 20
 
     @pytest.mark.parametrize("chunks,hist,alternating", [({0}, {2: 4}, None), ({1}, {2: 4}, 2)])
     def test_alternating_f_must_match_chunk_zero(self, tmp_path, chunks, hist, alternating):
