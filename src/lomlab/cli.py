@@ -432,8 +432,9 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--range",
         help="survey only class indices LO..HI (half-open), counting each class in it; "
-        "without it the circuits engine counts the lower half of the classes and "
-        "doubles the histogram, so 0..N, N the class count, is the full-space check",
+        "without it the circuits engine counts one class in 16 (one in 2 on a few "
+        "small shapes) and scales the histogram to the whole space, so 0..N, N the "
+        "class count, is the full-space check",
     )
     p.add_argument("--crosscheck-samples", type=int, default=0,
                    help="verify this many sampled classes against the travels engine first")

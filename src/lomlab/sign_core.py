@@ -577,19 +577,24 @@ def _translate_patterns(table: np.ndarray, supports: np.ndarray) -> None:
 # row 1 right of column 2, and row 1 enters a basis sign only at the basis's
 # smallest element, so the flip negates exactly the bases that miss {1, 2}:
 # up to a global sign, that is the chirotope relabeled by the transposition
-# (1 2) and reoriented on a subset of {1, 2}.  So only even offsets are
-# counted, and each count is written to offsets 2o and 2o+1.  With bit 0
-# clear, columns 1..3 share parity class 0 and column j takes the class
-# min(j-3, w-1).  A run of 2^w aligned classes therefore needs one table
+# (1 2) and reoriented on a subset of {1, 2}.  So a run counts only the
+# offsets whose low L = 1 bit is clear and writes each count to the 2^L
+# offsets that share its higher bits.  A survey of the whole class space
+# takes L = 2 and so credits each class with the count of its class with
+# bits 0 and 1 cleared, which is not the class's own count (see
+# ``survey._counted`` for why the survey is exact).  With the low L bits
+# clear, columns 1..L+2 share parity class 0 and column j takes the class
+# min(j-L-2, w-L).  A run of 2^w aligned classes therefore needs one table
 # row per support whose j1 and j2 share a class and two for the others:
-# they are OR-ed into a fixed union and one union per (class of j1, class
-# of j2) pair and pattern variant, and each even offset is its fixed union
+# they are OR-ed into a fixed union and one union per (class of j1, class of
+# j2) pair and pattern variant, and each counted offset is its fixed union
 # OR one union per pair.
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=64)
-def _run_plan(r: int, n: int, width: int) -> tuple:
-    """Supports grouped by the union they are OR-ed into.
+def _run_plan(r: int, n: int, width: int, low_bits: int = 1) -> tuple:
+    """Supports grouped by the union they are OR-ed into, in runs of 2^width
+    classes that count the offsets whose low ``low_bits`` bits are clear.
 
     Returns the supports, sorted by union, fixed ones first; the table row
     of each one's pattern 0, as (C, 1) int32; (first slot, first support,
@@ -597,7 +602,8 @@ def _run_plan(r: int, n: int, width: int) -> tuple:
     of each pair.  Slot 0 is the fixed union; pair p owns slots 1+2p
     (pattern kept) and 2+2p (pattern complemented).
     """
-    parity_class = np.clip(np.arange(n) - 2, 0, max(width - 1, 0))  # of each 0-based column
+    low = min(low_bits, width)
+    parity_class = np.clip(np.arange(n) - 1 - low, 0, width - low)  # of each 0-based column
     supports = _mask_context(r, n)
     a, b = parity_class[supports[:, 0]], parity_class[supports[:, 1]]
     pairs, pair_of = np.unique(np.stack([a, b], axis=1)[a < b], axis=0, return_inverse=True)
@@ -611,46 +617,53 @@ def _run_plan(r: int, n: int, width: int) -> tuple:
     return supports[order], first_rows, groups, pairs.reshape(-1, 2)
 
 
-def _run_width(r: int, n: int, length: int) -> int:
+def _run_width(r: int, n: int, length: int, low_bits: int = 1) -> int:
     """Width of the runs that count a chunk of ``length`` classes.
 
     Any aligned power-of-two part of a run of chessboard row 1 is itself a
     run.  Per class, runs of 2^w classes gather each support of their plan
     once, or twice when it is in a pair's unions, over 2^w classes, and OR
-    one union per pair at each of the 2^(w-1) even offsets; of the widths
-    that fit the chunk and row 1, this takes the one with the fewest rows.
+    one union per pair at each of the 2^(w-L) counted offsets, L =
+    ``low_bits``; of the widths that fit the chunk and row 1, this takes the
+    one with the fewest rows.  A run is at least L wide, so that every class
+    is credited with the count of its offset with the low L bits cleared.
     """
     def rows(w: int) -> float:
-        _, _, groups, pairs = _run_plan(r, n, w)
+        _, _, groups, pairs = _run_plan(r, n, w, low_bits)
         gathered = sum((end - start) * (2 if slot else 1) for slot, start, end in groups)
-        return gathered / (1 << w) + len(pairs) / 2
+        return gathered / (1 << w) + len(pairs) / (1 << low_bits)
 
-    widest = min(n - r - 1, length.bit_length() - 1)
-    return min(range(widest + 1), key=rows)
+    widest = max(low_bits, min(n - r - 1, length.bit_length() - 1))
+    return min(range(low_bits, widest + 1), key=rows)
 
 
-def violation_block_size(table: np.ndarray, width: int = 0) -> int:
+def violation_block_size(table: np.ndarray, width: int = 0, low_bits: int = 1) -> int:
     """Runs of 2^width classes per violation_counts call.
 
     One support's gathered rows, one per run and pattern variant, stay under
     a fixed cap; so do the rows of each step of the per-class combine.
     """
-    variants = 2 if width > 1 else 1
+    variants = 2 if width > low_bits else 1
     return max(1, _BLOCK_BYTES // (variants * table.shape[2] * table.itemsize))
 
 
-def violation_counts(table: np.ndarray, entries: np.ndarray, width: int = 0) -> np.ndarray:
+def violation_counts(
+    table: np.ndarray, entries: np.ndarray, width: int = 0, low_bits: int = 1
+) -> np.ndarray:
     """k-neighborly reorientation count of each class in B runs of 2^width classes.
 
     ``entries`` is (B, r, n) int8: the canonical matrix of each run's first
     class, whose index must be a multiple of 2^width, with
     width <= n - r - 1.  The result holds B * 2^width counts in index order;
-    with width 0 every matrix is its own run and may hold any signs.
+    with width 0 every matrix is its own run and may hold any signs.  Each
+    class gets the count of its offset with the low min(low_bits, width)
+    bits cleared: its own count at low_bits = 1, and at low_bits = 2 the
+    credit that only a survey of the whole class space may take.
     Fastest on the layout ``chessboard.representative_entries`` returns,
     where the batch axis is the contiguous one.
     """
     _, r, n = entries.shape
-    supports, first_rows, groups, pairs = _run_plan(r, n, width)
+    supports, first_rows, groups, pairs = _run_plan(r, n, width, low_bits)
     patterns = _circuit_patterns(entries, supports)
     runs, words = patterns.shape[1], table.shape[2]
     keys = np.concatenate([patterns, patterns ^ ((1 << r) - 1)], axis=1) + first_rows
@@ -667,10 +680,12 @@ def violation_counts(table: np.ndarray, entries: np.ndarray, width: int = 0) -> 
             if index.shape[0] > 1:
                 rows = np.bitwise_or.reduce(rows.reshape(index.shape[0], -1, words), axis=0)
             target |= rows
-    # even offset 2o of a run flips squares (1, 3)..(1, width+1) as the bits
-    # of o say; parity class g is negated by the parity of the bits below g
+    # counted offset o << low of a run flips squares (1, low+2)..(1, width+1)
+    # as the bits of o say; parity class g is negated by the parity of the
+    # bits below g
     unions = unions.reshape(-1, runs, words)
-    bits = max(width - 1, 0)
+    low = min(low_bits, width)
+    bits = width - low
     offsets = 1 << bits
     step = max(1, _BLOCK_BYTES // (runs * words * 8))  # offsets per step
     below = (1 << np.arange(bits + 1))[:, None] - 1
@@ -686,8 +701,7 @@ def violation_counts(table: np.ndarray, entries: np.ndarray, width: int = 0) -> 
             unions.take(slots, axis=0, out=part)
             out |= part
         violators[:, lo : lo + o.shape[0]] = np.bitwise_count(out).sum(axis=2, dtype=np.int64).T
-    if width:
-        violators = violators.repeat(2, axis=1)
+    violators = violators.repeat(1 << low, axis=1)
     return 2 * ((1 << (n - 1)) - violators.reshape(-1))
 
 

@@ -10,8 +10,12 @@ resume on metadata mismatch).  The circuits engine counts a survey with a
 violation table: one, built in the calling process before any worker starts
 and shared by forked pool workers, or, when the pool starts its workers by
 spawn or forkserver, one built in each worker.  Its survey of the whole
-class space counts the lower half, whose mirror, the upper half, has the
-same counts, and doubles the histogram.
+class space counts one class in 16: four column colorings leave f
+unchanged, and it counts the one class of each of their cosets whose index
+has bits 0, 1, B-2 and B-1 clear, B the number of index bits.  Where those
+colorings are not independent on these bits, on a few small shapes, it
+counts the lower half of the space, one class in 2.  ``_counted`` says
+which classes a survey counts.
 
 ``verify_case`` wraps the survey presets whose expected maximizer counts are
 known, reporting one pass/fail line per assertion.  ``engine_crosscheck``
@@ -27,9 +31,11 @@ import json
 import multiprocessing
 import os
 import random
+import re
 import time
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +45,7 @@ from .chessboard import (
     ENCODING_VERSION,
     _representative_entries,
     class_count,
+    relevant_squares,
     representative_entries,
     representative_of_index,
 )
@@ -207,7 +214,7 @@ class Checkpoint:
 
 def _checkpoint_meta(cfg: SurveyConfig) -> dict:
     """The survey a checkpoint belongs to; its range is the classes counted."""
-    quotient, lo, hi = _counted(cfg)
+    quotient, _, lo, hi = _counted(cfg)
     meta = {
         "rank": cfg.rank,
         "elements": cfg.elements,
@@ -238,23 +245,20 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 
     Raises CorruptCheckpointError, naming the file, when the file is not a
     checkpoint, names a chunk id that is not an integer chunk of its range,
-    holds a histogram that does not total the classes of its completed
-    chunks, or holds an alternating f when the chunk holding class 0 is not
-    done, or lacks one when it is.
+    holds a histogram entry that is not a count >= 1 of an integer f, or an
+    alternating f that is not an integer, holds a histogram that does not
+    total the classes of its completed chunks, or holds an alternating f
+    when the chunk holding class 0 is not done, or lacks one when it is.
     """
     try:
         data = json.loads(Path(path).read_text())
-        cp = Checkpoint(
-            meta=data["meta"],
-            completed_chunks=set(data["completed_chunks"]),
-            partial_histogram=Counter(
-                {int(f): int(c) for f, c in data["partial_histogram"].items()}
-            ),
-            alternating_class_f=data["partial_max"]["alternating_class_f"],
-        )
-        lo, hi = cp.meta["range"]
-        size = cp.meta["chunk_size"]
+        meta, chunks = data["meta"], data["completed_chunks"]
+        counts = data["partial_histogram"].items()
+        alternating = data["partial_max"]["alternating_class_f"]
+        lo, hi = meta["range"]
+        size = meta["chunk_size"]
         ids = _chunk_ids(lo, hi, size)
+        done = set(chunks)
     except (ValueError, KeyError, TypeError, AttributeError, ArithmeticError) as exc:
         raise CorruptCheckpointError(
             f"checkpoint {path} is not a survey checkpoint: {type(exc).__name__}: {exc}"
@@ -264,26 +268,32 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         return CorruptCheckpointError(f"checkpoint {path} is inconsistent: {problem}")
 
     # the list, since a set keeps only one of 1 and true, which are equal
-    outside = {c for c in data["completed_chunks"] if type(c) is not int or c not in ids}
+    outside = {c for c in chunks if type(c) is not int or c not in ids}
     if outside:
         raise corrupt(f"chunk ids {sorted(outside, key=str)} are not integer chunks of [{lo},{hi})")
-    if any(c < 1 for c in cp.partial_histogram.values()):
-        raise corrupt("histogram holds a count below 1")
-    done = cp.completed_chunks
+    # json gives 4.9, true and "02" where int() would read 4, 1 and 2
+    bad = {
+        f: c for f, c in counts
+        if type(c) is not int or c < 1 or not re.fullmatch("0|[1-9][0-9]*", f)
+    }
+    if bad:
+        raise corrupt(f"histogram entries {bad} are not counts >= 1 of integer f values")
+    if alternating is not None and type(alternating) is not int:
+        raise corrupt(f"alternating_class_f {alternating!r} is not an integer")
     # each completed chunk holds size classes, less those that lo and hi cut from the ends
     covered = len(done) * size - lo % size * (ids.start in done) - -hi % size * (ids.stop - 1 in done)
-    surveyed = sum(cp.partial_histogram.values())
+    surveyed = sum(c for _, c in counts)
     if surveyed != covered:
         raise corrupt(
             f"histogram counts {surveyed} classes, but the completed chunks cover {covered}"
         )
     holds_zero = lo == 0 and 0 in done
-    if (cp.alternating_class_f is not None) != holds_zero:
+    if (alternating is not None) != holds_zero:
         raise corrupt(
-            f"alternating_class_f is {cp.alternating_class_f}, but the chunk holding "
+            f"alternating_class_f is {alternating}, but the chunk holding "
             f"class 0 is {'done' if holds_zero else 'not done'}"
         )
-    return cp
+    return Checkpoint(meta, done, Counter({int(f): c for f, c in counts}), alternating)
 
 
 # ---------------------------------------------------------------------------
@@ -308,21 +318,23 @@ def _survey_table(cfg: SurveyConfig, classes: int) -> np.ndarray | None:
 
 
 def _run_table_chunk(
-    cfg: SurveyConfig, table: np.ndarray, lo: int, hi: int
+    cfg: SurveyConfig, table: np.ndarray, lo: int, hi: int, low_bits: int
 ) -> tuple[Counter, int | None]:
     """Count [lo, hi) in the aligned runs of chessboard row 1 that cover it.
 
     The runs cut by lo or hi are counted whole and trimmed to the range.
     """
     r, n = cfg.rank, cfg.elements
-    width = sign_core._run_width(r, n, hi - lo)
-    step = sign_core.violation_block_size(table, width) << width
+    width = sign_core._run_width(r, n, hi - lo, low_bits)
+    step = sign_core.violation_block_size(table, width, low_bits) << width
     counts = np.zeros((1 << n) + 1, dtype=np.int64)
     alternating_f = None
     for start in range(lo >> width << width, hi, step):
         firsts = np.arange(start, min(hi, start + step), 1 << width)
         entries = representative_entries(r, n, firsts)
-        fs = sign_core.violation_counts(table, entries, width)[max(0, lo - start) : hi - start]
+        fs = sign_core.violation_counts(table, entries, width, low_bits)[
+            max(0, lo - start) : hi - start
+        ]
         counts += np.bincount(fs, minlength=counts.shape[0])
         if start == lo == 0:
             alternating_f = int(fs[0])
@@ -333,24 +345,29 @@ def _run_table_chunk(
 def _run_chunk(
     cfg: SurveyConfig, table: np.ndarray | None, lo: int, hi: int
 ) -> tuple[Counter, int | None]:
-    """Histogram of f over the classes [lo, hi), and f of class 0 if it is among them.
+    """Histogram of the f credited to the classes [lo, hi), and f of class 0
+    if it is among them.
 
-    With a table from ``_survey_table`` the classes are counted in runs;
-    without one, each is counted on its own by the survey's engine.
+    Class i is credited with f(i & ~(2^L - 1)), L the low bits ``_counted``
+    names.  With a table from ``_survey_table`` the classes are counted in
+    runs; without one, each credited class is counted on its own by the
+    survey's engine.
     """
+    low_bits = _counted(cfg)[1]
     if table is not None:
-        return _run_table_chunk(cfg, table, lo, hi)
+        return _run_table_chunk(cfg, table, lo, hi, low_bits)
     hist = Counter()
     alternating_f = None
-    for index in range(lo, hi):
+    step = 1 << low_bits
+    for index in range(lo >> low_bits << low_bits, hi, step):
         if cfg.engine == "circuits":
             entries = _representative_entries(cfg.rank, cfg.elements, index)
             f = sign_core._count_entries(entries, cfg.k)
         else:
             A = representative_of_index(cfg.rank, cfg.elements, index)
             f = travels.f_via_travels(A, cfg.k)
-        hist[f] += 1
-        if index == 0:
+        hist[f] += min(hi, index + step) - max(lo, index)
+        if index == lo == 0:
             alternating_f = f
     return hist, alternating_f
 
@@ -387,30 +404,100 @@ def _chunk_ids(lo: int, hi: int, size: int) -> range:
     return range(lo // size, -(-hi // size))
 
 
-# Classes i and i ^ 2^(N-1) of a space of 2^N classes have the same f.  The
-# top index bit N-1 is square (r-1, n-2), and flipping it negates a[r][n-1] and
-# a[r][n].  Row r enters a basis sign only at the basis's largest element,
-# so the flip negates exactly the bases that meet {n-1, n}.  Relabeling by
-# the transposition (n-1 n) maps a basis meeting one of the two to the one
-# meeting the other, whose sign differs by a[r][n-1] a[r][n], and negates a
-# basis holding both.  So the flipped chirotope is the relabeled one up to a
-# reorientation of a subset of {n-1, n} and a global sign, and f, which no
-# relabeling or reorientation changes, is the same.  The lower half of the
-# class space therefore has the histogram of the upper half.
+# Column j's coloring cj is the class index with every relevant square (i, j)
+# black.  In a space of 2^B classes, w = n-r-1 the length of chessboard row
+# 1, four colorings leave f unchanged: c2, c3, c(n-3) and c(n-2).
+#
+# c(n-2) is square (r-1, n-2), the top index bit B-1.  Flipping it negates
+# a[r][n-1] and a[r][n].  Row r enters a basis sign only at the basis's
+# largest element, so the flip negates exactly the bases that meet {n-1, n}.
+# Relabeling by the transposition (n-1 n) maps a basis meeting one of the two
+# to the one meeting the other, whose sign differs by a[r][n-1] a[r][n], and
+# negates a basis holding both.  So the flipped chirotope is the relabeled
+# one up to a reorientation of a subset of {n-1, n} and a global sign, and f,
+# which no relabeling or reorientation changes, is the same.  c2, square
+# (1,2) and bit 0, is its mirror, the transposition (1 2); the first-row
+# runs of ``sign_core`` use it.
+#
+# c3 is squares (1,3) and (2,3), bits 1 and w (only (1,3) at r = 2).
+# Flipping them negates row 2 from column 4 on; up to negating all of row 2,
+# which negates every basis, that negates a[2][2] and a[2][3], as a[2][1]
+# enters no basis.  Row 2 enters a basis sign at the basis's second element,
+# so the flip negates exactly the bases that meet {1, 2, 3} in two or three
+# elements.  Row 1 of the canonical matrix is all +1, so a basis that meets
+# {1, 2, 3} once keeps its sign when 1, 2 and 3 are relabeled, and square
+# (1,2) is black exactly when a[2][2] a[2][3] = -1.  A transposition of two
+# of 1, 2, 3 negates the bases holding both, by one inversion, and swaps the
+# two other pairs of {1, 2, 3}: (2 3) swaps {1, 2} and {1, 3}, whose signs
+# differ by a[2][2] a[2][3], and (1 3) swaps {1, 2} and {2, 3}, whose signs
+# differ by that and an inversion.  So c3 is the relabeling (2 3) when square
+# (1,2) is black and (1 3) when it is white, up to a global sign.  Its mirror
+# c(n-3), squares (r-2, n-3) and (r-1, n-3) and bits B-1-w and B-2 (only
+# (1, n-3) at r = 2), is (n-2 n-1) when square (r-1, n-2) is black and
+# (n-2 n) when it is white, once columns n-2, n-1 and n are reoriented to
+# make row r +1 there, which changes no square.  The relabeling depends on
+# the class, but f needs only some isomorphism for each class:
+# f(i) = f(i ^ c3) = f(i ^ c(n-3)).
+#
+# So f is constant on each coset of the group the four colorings span.  When
+# they are independent on the pivot bits 0, 1, B-2 and B-1, each coset holds
+# one class with every pivot bit clear, and the histogram of the space is 16
+# times that of those classes.  A survey counts them in the prefix [0, N/4),
+# bits B-2 and B-1 clear: it credits class i with f(i & ~3) and takes the
+# histogram 4 times.  The credit is exact over the prefix, though not chunk
+# by chunk.  Both i -> i ^ 2 and i -> i ^ c3 map the classes of the prefix
+# with bit 1 set onto those with it clear (bit w lies below bit B-2 wherever
+# the four colorings are independent), so over the former the credits
+# f(i ^ 2) take each value as often as f(i ^ c3) = f(i) does, and bit 0
+# changes no f.  But i ^ c3 differs from i in bit w, in another run of
+# chessboard row 1 and, in general, another chunk.
 
-def _counted(cfg: SurveyConfig) -> tuple[int, int, int]:
-    """(quotient, first index, end index): the classes a survey counts.
+@lru_cache(maxsize=64)
+def _quotient_generators(r: int, n: int) -> tuple[int, int, int, int] | None:
+    """(c2, c3, c(n-3), c(n-2)) if a survey of the whole space may count one class in 16.
 
-    A circuits survey of the whole space counts its lower half, and each
-    count stands for quotient = 2 classes.  Every other survey counts each
-    class in its bounds once: the travels engine, so that it stays an
-    independent check, and every ``index_range``, so that a range of the
-    whole space is the full-space check.
+    It may when chessboard row 1 holds at least two squares and the four
+    colorings are independent on the pivot bits 0, 1, B-2 and B-1 of the
+    B-bit class index; two equal columns among 2, 3, n-3 and n-2 would give
+    equal masks.  Otherwise the result is None.
+    """
+    if n - r - 1 < 2:
+        return None
+    squares = relevant_squares(r, n)
+    masks = tuple(
+        sum(1 << bit for bit, (_, j) in enumerate(squares) if j == column)
+        for column in (2, 3, n - 3, n - 2)
+    )
+    pivots = 3 | 3 << (len(squares) - 2)
+    span = {0}
+    for mask in masks:
+        span |= {m ^ (mask & pivots) for m in span}
+    return masks if len(span) == 16 else None
+
+
+def _counted(cfg: SurveyConfig) -> tuple[int, int, int, int]:
+    """(quotient, low bits L, first index, end index): the classes a survey counts.
+
+    Class i of [first, end) is credited with f(i & ~(2^L - 1)), and the
+    survey's histogram is the credited one times the classes of its bounds
+    over end - first.  A circuits survey of the whole space counts the
+    prefix [0, N/4) with L = 2 where ``_quotient_generators`` allows it,
+    one class in 16 standing for its coset: quotient 16.  Otherwise it
+    counts its lower half with L = 1, as f(i) = f(i ^ 2^(B-1)): quotient 2.
+    Every other survey, quotient 1, counts each class in its bounds for
+    itself: every ``index_range`` with L = 1, which is exact as
+    f(i) = f(i ^ 1), so that a range of the whole space is the full-space
+    check, and the travels engine with L = 0, so that it stays an
+    independent check.  Checkpoints record the quotient.
     """
     lo, hi = cfg.bounds()
-    if cfg.engine == "circuits" and cfg.index_range is None and hi > 1:
-        return 2, lo, hi // 2
-    return 1, lo, hi
+    if cfg.engine != "circuits":
+        return 1, 0, lo, hi
+    if cfg.index_range is not None or hi == 1:
+        return 1, min(1, cfg.elements - cfg.rank - 1), lo, hi
+    if _quotient_generators(cfg.rank, cfg.elements) is not None:
+        return 16, 2, lo, hi // 4
+    return 2, 1, lo, hi // 2
 
 
 def _chunk_jobs(cfg: SurveyConfig, completed: set[int]) -> list[tuple[range, int, int]]:
@@ -425,7 +512,7 @@ def _chunk_jobs(cfg: SurveyConfig, completed: set[int]) -> list[tuple[range, int
     pending chunks it holds ceil(pending / _MAX_BATCHES) of them instead,
     since every write rewrites all completed chunk ids.
     """
-    _, lo, hi = _counted(cfg)
+    _, _, lo, hi = _counted(cfg)
     ids = _chunk_ids(lo, hi, cfg.chunk_size)
     done = sorted(completed)
     pending = len(ids) - len(done)
@@ -468,7 +555,7 @@ def run_survey(cfg: SurveyConfig) -> SurveyResult:
             f"{Path(cfg.checkpoint_path).parent} is not a directory"
         )
     lo, hi = cfg.bounds()
-    quotient, first, end = _counted(cfg)
+    _, _, first, end = _counted(cfg)
 
     if cfg.crosscheck_samples:
         report = engine_crosscheck(
@@ -516,7 +603,8 @@ def run_survey(cfg: SurveyConfig) -> SurveyResult:
             for chunk_ids, hist, alt in pool.imap_unordered(_worker_chunk, jobs):
                 absorb(chunk_ids, hist, alt)
 
-    hist = {f: c * quotient for f, c in checkpoint.partial_histogram.items()}
+    scale = (hi - lo) // (end - first)
+    hist = {f: c * scale for f, c in checkpoint.partial_histogram.items()}
     alternating_f = checkpoint.alternating_class_f
     surveyed = sum(hist.values())
     odd = sorted(f for f in hist if f % 2)

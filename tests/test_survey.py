@@ -28,6 +28,7 @@ from lomlab.survey import (
     _chunk_ids,
     _chunk_jobs,
     _counted,
+    _quotient_generators,
     _run_chunk,
     _survey_table,
     engine_crosscheck,
@@ -43,6 +44,15 @@ def result_fingerprint(result):
     d = result.to_json_dict()
     d.pop("elapsed_seconds")
     return json.dumps(d, sort_keys=True)
+
+
+def whole_space_json(result):
+    """A survey's JSON less its elapsed time, and less its range if that is the whole space."""
+    d = result.to_json_dict()
+    d.pop("elapsed_seconds")
+    if d.get("range") == [0, d["class_count"]]:
+        del d["range"]
+    return json.dumps(d)
 
 
 @pytest.fixture
@@ -141,29 +151,65 @@ def counted(monkeypatch):
 
 
 class TestQuotient:
-    """A circuits survey of the whole space counts its lower half and doubles
-    the histogram; a range survey, even of the whole space, and a travels
-    survey count every class."""
+    """A circuits survey of the whole space counts the prefix [0, N/4),
+    crediting class i with f(i & ~3), and takes the histogram 4 times: one
+    class in 16 stands for its coset under the colorings of columns 2, 3,
+    n-3 and n-2.  Where those are not independent on the pivot bits it
+    counts the lower half and doubles the histogram.  A range survey, even
+    of the whole space, and a travels survey count every class."""
 
-    @pytest.mark.parametrize("r,n,k", [(2, 9, 0), (3, 7, 1), (4, 8, 1), (5, 9, 2), (6, 10, 2)])
+    # the first five count one class in 16, the last three one in 2
+    @pytest.mark.parametrize(
+        "r,n,k",
+        [(2, 9, 0), (3, 7, 1), (4, 8, 1), (5, 9, 2), (6, 10, 2), (3, 6, 1), (2, 6, 0), (6, 8, 2)],
+    )
     def test_matches_the_range_of_the_whole_space(self, counted, r, n, k):
         classes = class_count(r, n)
-        quotiented = run_survey(SurveyConfig(r, n, k)).to_json_dict()
-        assert sorted(counted) == list(range(classes // 2))
+        prefix = classes // 4 if _quotient_generators(r, n) else classes // 2
+        assert (_quotient_generators(r, n) is None) == ((r, n) in [(3, 6), (2, 6), (6, 8)])
+        quotiented = run_survey(SurveyConfig(r, n, k))
+        assert sorted(counted) == list(range(prefix))
         counted.clear()
-        ranged = run_survey(SurveyConfig(r, n, k, index_range=(0, classes))).to_json_dict()
+        ranged = run_survey(SurveyConfig(r, n, k, index_range=(0, classes)))
         assert sorted(counted) == list(range(classes))
-        for payload in (quotiented, ranged):
-            payload.pop("elapsed_seconds")
-        assert ranged.pop("range") == [0, classes]
-        assert json.dumps(quotiented) == json.dumps(ranged)
+        assert ranged.to_json_dict()["range"] == [0, classes]
+        assert whole_space_json(quotiented) == whole_space_json(ranged)
 
     @pytest.mark.parametrize("chunk_size", [7, 1000, DEFAULT_CHUNK_SIZE])
     def test_counts_the_lower_half_at_any_chunk_size(self, counted, chunk_size):
-        # 1000 and 7 do not divide the 131072 classes of the lower half of (7,11)
-        result = run_survey(SurveyConfig(7, 11, 2, chunk_size=chunk_size))
-        assert sorted(counted) == list(range(131072))
+        # where c3 and c(n-3) cannot join the quotient, at n = r+2, the lower
+        # half; 1000 and 7 do not divide the 512 classes of the lower half of (11,13)
+        assert _quotient_generators(11, 13) is None
+        result = run_survey(SurveyConfig(11, 13, 2, chunk_size=chunk_size))
+        assert sorted(counted) == list(range(512))
+        assert result.surveyed == sum(result.histogram.values()) == 1024
+
+    @pytest.mark.skipif(
+        os.environ.get("LOMLAB_LONG") != "1", reason="2^24 classes twice; set LOMLAB_LONG=1 to run"
+    )
+    @pytest.mark.parametrize("r,n,k", [(5, 12, 1), (9, 13, 3)])
+    def test_matches_the_range_of_a_large_space(self, r, n, k):
+        quotiented = run_survey(SurveyConfig(r, n, k, threads=2))
+        classes = class_count(r, n)
+        ranged = run_survey(SurveyConfig(r, n, k, threads=2, index_range=(0, classes)))
+        assert whole_space_json(quotiented) == whole_space_json(ranged)
+
+    @pytest.fixture(scope="class")
+    def range_of_7_11(self):
+        return whole_space_json(run_survey(SurveyConfig(7, 11, 2, index_range=(0, 262144))))
+
+    @pytest.mark.parametrize(
+        "chunk_size,threads", [(1, 1), (3, 1), (7, 1), (1000, 1), (DEFAULT_CHUNK_SIZE, 1), (7, 2)]
+    )
+    def test_counts_the_prefix_at_any_chunk_size(
+        self, counted, range_of_7_11, chunk_size, threads
+    ):
+        # 1000, 7 and 3 do not divide the 65536 classes of the prefix of (7,11);
+        # the classes a pool worker counts are not recorded here
+        result = run_survey(SurveyConfig(7, 11, 2, chunk_size=chunk_size, threads=threads))
+        assert sorted(counted) == (list(range(65536)) if threads == 1 else [])
         assert result.surveyed == sum(result.histogram.values()) == 262144
+        assert whole_space_json(result) == range_of_7_11
 
     def test_range_across_half_the_space_counts_each_class(self, counted):
         result = run_survey(SurveyConfig(4, 8, 1, chunk_size=16, index_range=(200, 300)))
@@ -177,9 +223,9 @@ class TestQuotient:
 
 class TestChunkJobs:
     """Pending chunks go out in batches of contiguous chunk ids.  The chunks
-    cover the classes a survey counts: the lower half of the space for a
-    circuits survey of the whole space, whose upper half mirrors it, and
-    every class in its bounds for any other survey."""
+    cover the classes a survey counts: the prefix [0, N/4) of the space for
+    a circuits survey of the whole space, which stands for the other three
+    quarters too, and every class in its bounds for any other survey."""
 
     @staticmethod
     def check(cfg, bounds, skip, per_batch):
@@ -217,18 +263,18 @@ class TestChunkJobs:
         )
         self.check(cfg, cfg.bounds(), skip, per_batch)
 
-    # the circuits engine's chunks of a whole-space survey stop at half the
-    # space; those of a range cover all of it
+    # the circuits engine's chunks of a whole-space survey stop at a quarter
+    # of the space; those of a range cover all of it
     @pytest.mark.parametrize(
         "r,n,chunk_size,threads,index_range,skip,per_batch,pending",
         [
-            (3, 8, 4, 1, None, set(), 8, 32),  # 32 chunks of the lower half: four batches a worker
-            (3, 8, 4, 2, None, {5, 6, 20}, 3, 29),  # 29 pending // (4 * 2)
-            (3, 8, 4, 1, (5, 251), {1, 30}, 15, 60),  # chunks 1..62, across half the space
-            (7, 11, 2048, 1, None, {0}, 2, 63),  # DEFAULT_CHUNK_SIZE classes a batch
-            (3, 8, 4, 3, None, set(range(28)), 1, 4),  # too few pending chunks to merge
-            (7, 11, DEFAULT_CHUNK_SIZE, 1, None, set(), 1, 32),
-            (7, 11, 5000, 2, None, {3}, 1, 26),  # the last chunk is cut at half the space
+            (3, 8, 2, 1, None, set(), 8, 32),  # 32 chunks of the prefix: four batches a worker
+            (3, 8, 2, 2, None, {5, 6, 20}, 3, 29),  # 29 pending // (4 * 2)
+            (3, 8, 4, 1, (5, 251), {1, 30}, 15, 60),  # chunks 1..62, across the prefix's end
+            (7, 11, 2048, 1, None, {0}, 2, 31),  # DEFAULT_CHUNK_SIZE classes a batch
+            (3, 8, 2, 3, None, set(range(28)), 1, 4),  # too few pending chunks to merge
+            (7, 11, DEFAULT_CHUNK_SIZE, 1, None, set(), 1, 16),
+            (7, 11, 5000, 2, None, {3}, 1, 13),  # the last chunk is cut at the prefix's end
             (3, 6, 3, 1, (7, 9), set(), 1, 1),  # [7, 9) across half the space, cut by the range
         ],
     )
@@ -238,21 +284,21 @@ class TestChunkJobs:
         cfg = SurveyConfig(
             r, n, 1, threads=threads, chunk_size=chunk_size, index_range=index_range
         )
-        bounds = index_range or (0, class_count(r, n) // 2)
+        bounds = index_range or (0, class_count(r, n) // 4)
         assert len(self.check(cfg, bounds, skip, per_batch)) == pending
 
     def test_checkpoint_writes_stay_bounded(self):
         # every write rewrites all completed chunk ids: one write for each of
-        # the 131072 default-size chunks of the lower half of (7,13) would
-        # cost their square
+        # the 65536 default-size chunks of the prefix of (7,13) would cost
+        # their square
         jobs = _chunk_jobs(SurveyConfig(7, 13, 2, threads=2), set())
         assert len(jobs) == 4096
-        assert {len(batch) for batch, _, _ in jobs} == {32}
+        assert {len(batch) for batch, _, _ in jobs} == {16}
 
     @staticmethod
     def greedy_batches(cfg, skip):
         """The batches of a greedy merge over a list of every chunk of the counted range."""
-        _, lo, hi = _counted(cfg)
+        _, _, lo, hi = _counted(cfg)
         size = cfg.chunk_size
         pending = [
             (cid, max(lo, cid * size), min(hi, (cid + 1) * size))
@@ -289,7 +335,7 @@ class TestChunkJobs:
                 r, n, 1, engine=rng.choice(["circuits", "travels"]),
                 threads=rng.randint(1, 4), chunk_size=chunk_size, index_range=index_range,
             )
-            _, lo, hi = _counted(cfg)
+            _, _, lo, hi = _counted(cfg)
             ids = _chunk_ids(lo, hi, chunk_size)
             if len(ids) > 1 << 14:
                 continue
@@ -299,7 +345,7 @@ class TestChunkJobs:
             cases += 1
 
     def test_frontier_batches_cost_no_memory_per_chunk(self):
-        # the 2^22 chunks of the lower half of (6,14) go out in 4096 batches,
+        # the 2^21 chunks of the prefix of (6,14) go out in 4096 batches,
         # with no list of the chunks themselves
         cfg = SurveyConfig(6, 14, 2)
         tracemalloc.start()
@@ -309,7 +355,7 @@ class TestChunkJobs:
         finally:
             tracemalloc.stop()
         assert len(jobs) == 4096
-        assert {len(batch) for batch, _, _ in jobs} == {1024}
+        assert {len(batch) for batch, _, _ in jobs} == {512}
         assert peak < 1 << 20
 
 
@@ -318,7 +364,8 @@ class TestCheckpointing:
         path = tmp_path / "survey.ckpt.json"
         cfg = SurveyConfig(3, 6, 1, chunk_size=4, checkpoint_path=path)
 
-        # simulate an interrupted run: only chunk 1 finished
+        # simulate an interrupted run: only chunk 1 finished ((3,6) counts
+        # the lower half: c3 and c(n-3) are one coloring)
         hist, _ = _run_chunk(cfg, None, 4, 8)
         partial = Checkpoint(_checkpoint_meta(cfg), {1}, Counter(hist), None)
         save_checkpoint(path, partial)
@@ -352,7 +399,7 @@ class TestCheckpointing:
         cfg = SurveyConfig(8, 11, 2, threads=threads, chunk_size=64, checkpoint_path=path)
         table = _survey_table(cfg, class_count(8, 11))
         done, hist, alternating = set(), Counter(), None
-        for cid in _chunk_ids(0, class_count(8, 11) // 2, 64)[::3]:
+        for cid in _chunk_ids(0, class_count(8, 11) // 4, 64)[::3]:
             chunk_hist, chunk_alt = _run_chunk(cfg, table, cid * 64, (cid + 1) * 64)
             done.add(cid)
             hist.update(chunk_hist)
@@ -363,7 +410,7 @@ class TestCheckpointing:
 
         resumed = run_survey(cfg)
         assert result_fingerprint(resumed) == result_fingerprint(run_survey(SurveyConfig(8, 11, 2)))
-        assert load_checkpoint(path).completed_chunks == set(range(128))
+        assert load_checkpoint(path).completed_chunks == set(range(64))
         assert pools == [2] * (threads > 1)
 
     def test_pool_writes_one_checkpoint_per_batch(self, tmp_path, monkeypatch, pools):
@@ -377,11 +424,11 @@ class TestCheckpointing:
         )
         pooled = result_fingerprint(run_survey(cfg))
         assert pooled == result_fingerprint(run_survey(SurveyConfig(8, 11, 2)))
-        # 128 chunks in the lower half, 16 to a batch: four batches for each
-        # of the two workers
+        # 64 chunks in the prefix, 8 to a batch: four batches for each of
+        # the two workers
         assert len(saved) == len(_chunk_jobs(cfg, set())) == 8
-        assert saved == list(range(16, 129, 16))
-        assert load_checkpoint(path).completed_chunks == set(range(128))
+        assert saved == list(range(8, 65, 8))
+        assert load_checkpoint(path).completed_chunks == set(range(64))
         assert pools == [2]
 
     def test_range_mismatch_refused(self, tmp_path):
@@ -391,18 +438,20 @@ class TestCheckpointing:
             run_survey(SurveyConfig(3, 6, 1, chunk_size=4, checkpoint_path=path))
 
     # (4,8) has 512 classes in 32 chunks of 16.  The whole-space survey
-    # counts chunks 0..15, the lower half; the range survey of all 512
-    # counts every chunk, also those whose mirror, 16 chunks away, is done.
+    # counts chunks 0..7, the prefix; the range survey of all 512 counts
+    # every chunk, also those whose mirror, 16 chunks away, is done.
+    # first-batch is the first batch of two chunks, and
+    # upper-half-of-the-lower the upper half of the prefix.
     @pytest.mark.parametrize(
         "done,index_range",
         [
             (set(range(16, 32)), (0, 512)),
             ({0}, (0, 512)),
             ({16}, (0, 512)),
-            ({3, 12}, None),
-            (set(range(4)), None),
-            (set(range(8, 16)), None),
-            ({0, 5, 6, 15}, None),
+            ({3, 6}, None),
+            (set(range(2)), None),
+            (set(range(4, 8)), None),
+            ({0, 2, 3, 7}, None),
         ],
         ids=[
             "upper-half", "lower-of-a-pair", "upper-of-a-pair", "scattered", "first-batch",
@@ -423,7 +472,7 @@ class TestCheckpointing:
         resumed = result_fingerprint(run_survey(cfg))
         # every pending class of the counted ones is counted once, and none
         # that the checkpoint holds
-        end = 512 if index_range else 256
+        end = 512 if index_range else 128
         assert sorted(counted) == [c for c in range(end) if c // 16 not in done]
         assert resumed == result_fingerprint(run_survey(SurveyConfig(4, 8, 1, index_range=index_range)))
         assert load_checkpoint(path).completed_chunks == set(range(end // 16))
@@ -438,9 +487,21 @@ class TestCheckpointing:
             path = tmp_path / f"{name}.ckpt.json"
             run_survey(dataclasses.replace(cfg, checkpoint_path=path))
             metas[name] = json.loads(path.read_text())["meta"]
-        assert (metas["whole"]["quotient"], metas["whole"]["range"]) == (2, [0, 256])
+        assert (metas["whole"]["quotient"], metas["whole"]["range"]) == (16, [0, 128])
         for name in ("range", "travels"):
             assert "quotient" not in metas[name] and metas[name]["range"] == [0, 512]
+
+    def test_quotient_two_checkpoint_refused(self, tmp_path):
+        # chunk 0 of the lower half of (4,8), as whole-space surveys counted
+        # it before they counted one class in 16
+        path = tmp_path / "half.ckpt.json"
+        cfg = SurveyConfig(4, 8, 1, chunk_size=16, checkpoint_path=path)
+        meta = dict(_checkpoint_meta(cfg), quotient=2, range=[0, 256])
+        hist, alternating = _run_chunk(SurveyConfig(4, 8, 1, index_range=(0, 16)), None, 0, 16)
+        save_checkpoint(path, Checkpoint(meta, {0}, hist, alternating))
+        assert load_checkpoint(path).meta == meta
+        with pytest.raises(CheckpointMismatchError, match="half.ckpt.json"):
+            run_survey(cfg)
 
     def test_whole_space_checkpoint_of_mirrored_chunks(self, tmp_path, counted):
         # A whole-space checkpoint as earlier versions wrote it, pairing
@@ -593,13 +654,18 @@ class TestTableEngine:
     @pytest.mark.parametrize("r,n", sorted({(p.rank, p.elements) for p in PRESETS.values()}))
     @pytest.mark.parametrize("chunk_size", [DEFAULT_CHUNK_SIZE, 64])
     def test_full_width_runs_where_they_touch_fewest_rows(self, r, n, chunk_size):
+        # as a range survey counts them, and as the whole space is counted
         assert _run_width(r, n, chunk_size) == n - r - 1
+        assert _run_width(r, n, chunk_size, _counted(SurveyConfig(r, n, 1))[1]) == n - r - 1
 
     def test_shorter_runs_where_pairs_outnumber_rows(self, monkeypatch):
         # gathered rows plus pair unions per class are fewest at w = 7, not
         # 11; measured over the 2048 classes, w = 7 took 2.9 us per class
         # against 3.8 at w = 6 and 4.6 at w = 11
         assert _run_width(2, 14, DEFAULT_CHUNK_SIZE) == 7
+        # with bits 0 and 1 fixed, as the whole space is counted, w = 8 took
+        # 1.8 us per class against 2.3 at w = 7 and 1.9 at w = 9
+        assert _run_width(2, 14, DEFAULT_CHUNK_SIZE, 2) == 8
         cfg = SurveyConfig(2, 14, 0)
         assert result_fingerprint(run_survey(cfg)) == self.mask_path(monkeypatch, cfg)
 
@@ -648,12 +714,12 @@ class TestSelfChecks:
                 load_checkpoint(path)
 
     def test_frontier_checkpoint_loads_in_memory_of_its_completed_chunks(self, tmp_path):
-        # the lower half of the 2^19 chunks that count the lower half of (5,14):
-        # the load holds the file and these ids, about 21 MiB, and nothing for
+        # the lower half of the 2^18 chunks that count the prefix of (5,14):
+        # the load holds the file and these ids, about 11 MiB, and nothing for
         # each chunk of the space
         path = tmp_path / "frontier.ckpt.json"
         cfg = SurveyConfig(5, 14, 1, checkpoint_path=path)
-        done = range(1 << 18)
+        done = range(1 << 17)
         self.write(path, cfg, set(done), {2: len(done) * DEFAULT_CHUNK_SIZE}, 2)
         tracemalloc.start()
         try:
@@ -662,7 +728,46 @@ class TestSelfChecks:
         finally:
             tracemalloc.stop()
         assert loaded.completed_chunks == set(done)
-        assert peak < 40 << 20
+        assert peak < 20 << 20
+
+    # json reads each of these, and int() took 4.9 as 4, true as 1 and "02" as 2
+    @pytest.mark.parametrize(
+        "histogram,alternating,message",
+        [
+            ({"2": 4.9}, None, r"histogram entries \{'2': 4.9\}"),
+            ({"2": 4.0}, None, r"histogram entries \{'2': 4.0\}"),
+            ({"2": True, "4": 3}, None, r"histogram entries \{'2': True\}"),
+            ({"2": "4"}, None, r"histogram entries \{'2': '4'\}"),
+            ({"2.5": 4}, None, r"histogram entries \{'2.5': 4\}"),
+            ({"x": 4}, None, r"histogram entries \{'x': 4\}"),
+            ({"02": 4}, None, r"histogram entries \{'02': 4\}"),
+            ({"-2": 4}, None, r"histogram entries \{'-2': 4\}"),
+            ({"2": 4}, "x", "alternating_class_f 'x' is not an integer"),
+            ({"2": 4}, True, "alternating_class_f True is not an integer"),
+            ({"2": 4}, 2.0, "alternating_class_f 2.0 is not an integer"),
+        ],
+        ids=[
+            "fractional-count", "float-count", "boolean-count", "string-count",
+            "fractional-f", "non-numeric-f", "zero-padded-f", "negative-f",
+            "string-alternating-f", "boolean-alternating-f", "float-alternating-f",
+        ],
+    )
+    def test_histogram_and_alternating_f_must_be_integers(
+        self, tmp_path, histogram, alternating, message
+    ):
+        # chunk 0 of (3,6) at chunk size 4 holds class 0, so the checkpoint
+        # names an alternating f exactly when one is given
+        path = tmp_path / "values.ckpt.json"
+        cfg = SurveyConfig(3, 6, 1, chunk_size=4, checkpoint_path=path)
+        done = [0] if alternating is not None else [1]
+        path.write_text(json.dumps({
+            "meta": _checkpoint_meta(cfg), "completed_chunks": done,
+            "partial_histogram": histogram, "partial_max": {"alternating_class_f": alternating},
+        }))
+        with pytest.raises(CorruptCheckpointError, match=rf"values.ckpt.json.*{message}"):
+            load_checkpoint(path)
+        with pytest.raises(CorruptCheckpointError, match="values.ckpt.json"):
+            run_survey(cfg)
 
     @pytest.mark.parametrize("chunks,hist,alternating", [({0}, {2: 4}, None), ({1}, {2: 4}, 2)])
     def test_alternating_f_must_match_chunk_zero(self, tmp_path, chunks, hist, alternating):

@@ -1,11 +1,16 @@
-"""Two index bits whose flip gives an isomorphic oriented matroid.
+"""Column colorings whose flip gives an isomorphic oriented matroid.
 
-Flipping the top bit of a class index is the transposition (n-1 n), and
-flipping bit 0 is the transposition (1 2), each up to a reorientation of the
-transposed pair and a global sign.  The survey of the whole class space
-counts its lower half for the upper half too, and a run counts only its
-even offsets, on these two facts.  They are checked here on the
-chirotope, which the circuits engine does not use, and on f class by class.
+Column j's coloring cj is the class index with every relevant square (i, j)
+black.  Flipping the top bit of a class index, c(n-2), is the transposition
+(n-1 n), and flipping bit 0, c2, is the transposition (1 2), each up to a
+reorientation of the transposed pair and a global sign.  c3 is the
+transposition (2 3) when square (1,2) is black and (1 3) when it is white,
+and its mirror c(n-3) is (n-2 n-1) when square (r-1, n-2) is black and
+(n-2 n) when it is white, up to a reorientation of three elements and a
+global sign.  The survey of the whole class space counts one class in 16
+on these facts, and a run counts only its even offsets on the second.
+They are checked here on the chirotope, which the circuits engine does not
+use, and on f class by class.
 """
 
 import random
@@ -13,8 +18,14 @@ from itertools import combinations
 
 import pytest
 
-from lomlab.chessboard import class_count, representative_entries, representative_of_index
+from lomlab.chessboard import (
+    class_count,
+    relevant_squares,
+    representative_entries,
+    representative_of_index,
+)
 from lomlab.sign_core import ChirotopeTable, _count_entries, chirotope_from_matrix
+from lomlab.survey import _quotient_generators
 
 
 def relabeled(T: ChirotopeTable, a: int, b: int) -> ChirotopeTable:
@@ -29,10 +40,10 @@ def relabeled(T: ChirotopeTable, a: int, b: int) -> ChirotopeTable:
     return ChirotopeTable(T.rank, T.ground_size, tuple(signs))
 
 
-def reoriented_up_to_sign(T: ChirotopeTable, U: ChirotopeTable, pair: tuple[int, int]) -> bool:
-    """True when U is T reoriented on some subset of ``pair``, up to a global sign."""
-    for size in range(3):
-        for flipped in combinations(pair, size):
+def reoriented_up_to_sign(T: ChirotopeTable, U: ChirotopeTable, elements: tuple[int, ...]) -> bool:
+    """True when U is T reoriented on some subset of ``elements``, up to a global sign."""
+    for size in range(len(elements) + 1):
+        for flipped in combinations(elements, size):
             signs = [
                 s * (-1) ** len(set(basis) & set(flipped)) for basis, s in zip(T.bases(), T.signs)
             ]
@@ -43,6 +54,11 @@ def reoriented_up_to_sign(T: ChirotopeTable, U: ChirotopeTable, pair: tuple[int,
 
 def chirotope(r: int, n: int, index: int) -> ChirotopeTable:
     return chirotope_from_matrix(representative_of_index(r, n, index))
+
+
+def coloring(r: int, n: int, column: int) -> int:
+    """The class index with every relevant square of ``column`` black."""
+    return sum(1 << bit for bit, (_, j) in enumerate(relevant_squares(r, n)) if j == column)
 
 
 def sampled(r: int, n: int, count: int) -> list[int]:
@@ -81,3 +97,57 @@ def test_f_is_invariant_under_both_bits(r, n, k):
     f = [_count_entries(entries, k) for entries in representative_entries(r, n, range(total))]
     for i in range(total):
         assert f[i] == f[i ^ 1] == f[i ^ (total // 2)], i
+
+
+# r = 2 has no row 2, and at (3,6) columns 3 and n-3 are one column
+@pytest.mark.parametrize("r,n", [(2, 7), (3, 6), (3, 7), (4, 8), (5, 9), (6, 10), (8, 11), (8, 12)])
+def test_columns_three_and_n_minus_three_are_relabelings(r, n):
+    top = class_count(r, n) // 2  # square (r-1, n-2)
+    three, mirror = coloring(r, n, 3), coloring(r, n, n - 3)
+    low, high = (1, 2, 3), (n - 2, n - 1, n)
+    for i in sampled(r, n, 12):
+        chi = chirotope(r, n, i)
+        swap = (2, 3) if i & 1 else (1, 3)
+        assert reoriented_up_to_sign(relabeled(chi, *swap), chirotope(r, n, i ^ three), low), i
+        swap = (n - 2, n - 1) if i & top else (n - 2, n)
+        assert reoriented_up_to_sign(relabeled(chi, *swap), chirotope(r, n, i ^ mirror), high), i
+
+
+@pytest.mark.parametrize("r,n", [(4, 8), (6, 10)])
+def test_swapping_black_and_white_fails(r, n):
+    top = class_count(r, n) // 2
+    for i in sampled(r, n, 12):
+        chi = chirotope(r, n, i)
+        swap = (1, 3) if i & 1 else (2, 3)
+        assert not reoriented_up_to_sign(
+            relabeled(chi, *swap), chirotope(r, n, i ^ coloring(r, n, 3)), (1, 2, 3)
+        ), i
+        swap = (n - 2, n) if i & top else (n - 2, n - 1)
+        assert not reoriented_up_to_sign(
+            relabeled(chi, *swap), chirotope(r, n, i ^ coloring(r, n, n - 3)), (n - 2, n - 1, n)
+        ), i
+
+
+@pytest.mark.parametrize(
+    "r,n,k",
+    [(2, 6, 0), (2, 8, 0), (2, 9, 0), (3, 6, 1), (3, 7, 1), (3, 9, 1), (4, 8, 1), (4, 9, 1), (5, 9, 2)],
+)
+def test_f_is_invariant_under_the_four_colorings(r, n, k):
+    total = class_count(r, n)
+    f = [_count_entries(entries, k) for entries in representative_entries(r, n, range(total))]
+    masks = [coloring(r, n, j) for j in (2, 3, n - 3, n - 2)]
+    for i in range(total):
+        assert all(f[i ^ mask] == f[i] for mask in masks), i
+
+
+def test_quotient_needs_four_colorings_independent_on_the_pivot_bits():
+    # (3,6): c3 = c(n-3); (2,6): three index bits; n = r+2: no square (1,3)
+    for r, n in [(3, 6), (2, 6), (2, 5), *((r, r + 2) for r in range(2, 12))]:
+        assert _quotient_generators(r, n) is None, (r, n)
+    shapes = [(2, 7), (2, 8), (3, 7), (3, 9), (4, 7), (4, 10), (5, 9), (5, 11), (6, 10),
+              (7, 11), (8, 11), (8, 12), (9, 13), (5, 14), (6, 14), (10, 14)]
+    for r, n in shapes:
+        masks = _quotient_generators(r, n)
+        assert masks == tuple(coloring(r, n, j) for j in (2, 3, n - 3, n - 2)), (r, n)
+        bits = (r - 1) * (n - r - 1)
+        assert masks[0] == 1 and masks[3] == 1 << (bits - 1), (r, n)
