@@ -268,8 +268,10 @@ def _cmd_formulas(args) -> int:
 
 
 def _cmd_survey(args) -> int:
+    # checked before counting, so that a long survey's result is not lost
+    if args.out and Path(args.out).is_dir():
+        raise ValueError(f"--out: cannot write {args.out}: it is a directory")
     if args.out and not Path(args.out).parent.is_dir():
-        # checked before counting, so that a long survey's result is not lost
         raise ValueError(
             f"--out: cannot write {args.out}: {Path(args.out).parent} is not a directory"
         )

@@ -578,11 +578,8 @@ def _translate_patterns(table: np.ndarray, supports: np.ndarray) -> None:
 # smallest element, so the flip negates exactly the bases that miss {1, 2}:
 # up to a global sign, that is the chirotope relabeled by the transposition
 # (1 2) and reoriented on a subset of {1, 2}.  So a run counts only the
-# offsets whose low L = 1 bit is clear and writes each count to the 2^L
-# offsets that share its higher bits.  A survey of the whole class space
-# takes L = 2 and so credits each class with the count of its class with
-# bits 0 and 1 cleared, which is not the class's own count (see
-# ``survey._counted`` for why the survey is exact).  With the low L bits
+# offsets whose low L bits are clear, L = 1 by default; the caller chooses
+# L and decides which classes each count stands for.  With the low L bits
 # clear, columns 1..L+2 share parity class 0 and column j takes the class
 # min(j-L-2, w-L).  A run of 2^w aligned classes therefore needs one table
 # row per support whose j1 and j2 share a class and two for the others:
@@ -625,8 +622,8 @@ def _run_width(r: int, n: int, length: int, low_bits: int = 1) -> int:
     once, or twice when it is in a pair's unions, over 2^w classes, and OR
     one union per pair at each of the 2^(w-L) counted offsets, L =
     ``low_bits``; of the widths that fit the chunk and row 1, this takes the
-    one with the fewest rows.  A run is at least L wide, so that every class
-    is credited with the count of its offset with the low L bits cleared.
+    one with the fewest rows.  A run is at least L wide, so that it counts
+    one class in 2^L.
     """
     def rows(w: int) -> float:
         _, _, groups, pairs = _run_plan(r, n, w, low_bits)
@@ -650,17 +647,16 @@ def violation_block_size(table: np.ndarray, width: int = 0, low_bits: int = 1) -
 def violation_counts(
     table: np.ndarray, entries: np.ndarray, width: int = 0, low_bits: int = 1
 ) -> np.ndarray:
-    """k-neighborly reorientation count of each class in B runs of 2^width classes.
+    """k-neighborly reorientation counts in B runs of 2^width classes, one per counted offset.
 
     ``entries`` is (B, r, n) int8: the canonical matrix of each run's first
     class, whose index must be a multiple of 2^width, with
-    width <= n - r - 1.  The result holds B * 2^width counts in index order;
-    with width 0 every matrix is its own run and may hold any signs.  Each
-    class gets the count of its offset with the low min(low_bits, width)
-    bits cleared: its own count at low_bits = 1, and at low_bits = 2 the
-    credit that only a survey of the whole class space may take.
-    Fastest on the layout ``chessboard.representative_entries`` returns,
-    where the batch axis is the contiguous one.
+    width <= n - r - 1.  A run counts its offsets whose low
+    L = min(low_bits, width) bits are clear: the result holds the
+    B * 2^(width - L) counts of those classes in index order.  With width 0
+    every matrix is its own run and may hold any signs.  Fastest on the
+    layout ``chessboard.representative_entries`` returns, where the batch
+    axis is the contiguous one.
     """
     _, r, n = entries.shape
     supports, first_rows, groups, pairs = _run_plan(r, n, width, low_bits)
@@ -701,7 +697,6 @@ def violation_counts(
             unions.take(slots, axis=0, out=part)
             out |= part
         violators[:, lo : lo + o.shape[0]] = np.bitwise_count(out).sum(axis=2, dtype=np.int64).T
-    violators = violators.repeat(1 << low, axis=1)
     return 2 * ((1 << (n - 1)) - violators.reshape(-1))
 
 

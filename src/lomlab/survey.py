@@ -15,7 +15,9 @@ unchanged, and it counts the one class of each of their cosets whose index
 has bits 0, 1, B-2 and B-1 clear, B the number of index bits.  Where those
 colorings are not independent on these bits, on a few small shapes, it
 counts the lower half of the space, one class in 2.  ``_counted`` says
-which classes a survey counts.
+which classes a survey counts, and ``_run_chunk``, the one loop that counts
+a chunk with either engine, with or without a table, credits each count to
+the classes it stands for.
 
 ``verify_case`` wraps the survey presets whose expected maximizer counts are
 known, reporting one pass/fail line per assertion.  ``engine_crosscheck``
@@ -101,7 +103,6 @@ class SurveyConfig:
     checkpoint_path: str | Path | None = None
     index_range: tuple[int, int] | None = None
     crosscheck_samples: int = 0
-    crosscheck_seed: int = 0
 
     def __post_init__(self):
         if self.rank < 2:
@@ -317,31 +318,6 @@ def _survey_table(cfg: SurveyConfig, classes: int) -> np.ndarray | None:
     return None
 
 
-def _run_table_chunk(
-    cfg: SurveyConfig, table: np.ndarray, lo: int, hi: int, low_bits: int
-) -> tuple[Counter, int | None]:
-    """Count [lo, hi) in the aligned runs of chessboard row 1 that cover it.
-
-    The runs cut by lo or hi are counted whole and trimmed to the range.
-    """
-    r, n = cfg.rank, cfg.elements
-    width = sign_core._run_width(r, n, hi - lo, low_bits)
-    step = sign_core.violation_block_size(table, width, low_bits) << width
-    counts = np.zeros((1 << n) + 1, dtype=np.int64)
-    alternating_f = None
-    for start in range(lo >> width << width, hi, step):
-        firsts = np.arange(start, min(hi, start + step), 1 << width)
-        entries = representative_entries(r, n, firsts)
-        fs = sign_core.violation_counts(table, entries, width, low_bits)[
-            max(0, lo - start) : hi - start
-        ]
-        counts += np.bincount(fs, minlength=counts.shape[0])
-        if start == lo == 0:
-            alternating_f = int(fs[0])
-    hist = Counter({int(f): int(counts[f]) for f in np.flatnonzero(counts)})
-    return hist, alternating_f
-
-
 def _run_chunk(
     cfg: SurveyConfig, table: np.ndarray | None, lo: int, hi: int
 ) -> tuple[Counter, int | None]:
@@ -349,26 +325,39 @@ def _run_chunk(
     if it is among them.
 
     Class i is credited with f(i & ~(2^L - 1)), L the low bits ``_counted``
-    names.  With a table from ``_survey_table`` the classes are counted in
-    runs; without one, each credited class is counted on its own by the
-    survey's engine.
+    names; this is the one place that takes the credit.  Each call counts the
+    classes with the low L bits clear in aligned runs of 2^width classes: with
+    a table from ``_survey_table``, ``violation_block_size`` runs of the width
+    ``_run_width`` picks, in one ``violation_counts`` call; without one, one
+    run of width L, its first class counted by the survey's engine.  Every
+    count is credited to its class and the 2^L - 1 after it, and the runs cut
+    by lo or hi are trimmed to the range.
     """
-    low_bits = _counted(cfg)[1]
-    if table is not None:
-        return _run_table_chunk(cfg, table, lo, hi, low_bits)
+    r, n = cfg.rank, cfg.elements
+    low = _counted(cfg)[1]
+    if table is None:
+        width, step = low, 1 << low
+    else:
+        width = sign_core._run_width(r, n, hi - lo, low)
+        step = sign_core.violation_block_size(table, width, low) << width
     hist = Counter()
     alternating_f = None
-    step = 1 << low_bits
-    for index in range(lo >> low_bits << low_bits, hi, step):
-        if cfg.engine == "circuits":
-            entries = _representative_entries(cfg.rank, cfg.elements, index)
-            f = sign_core._count_entries(entries, cfg.k)
+    for start in range(lo >> width << width, hi, step):
+        if table is not None:
+            firsts = np.arange(start, min(hi, start + step), 1 << width)
+            fs = sign_core.violation_counts(table, representative_entries(r, n, firsts), width, low)
+        elif cfg.engine == "circuits":
+            entries = _representative_entries(r, n, start)
+            fs = np.array([sign_core._count_entries(entries, cfg.k)])
         else:
-            A = representative_of_index(cfg.rank, cfg.elements, index)
-            f = travels.f_via_travels(A, cfg.k)
-        hist[f] += min(hi, index + step) - max(lo, index)
-        if index == lo == 0:
-            alternating_f = f
+            A = representative_of_index(r, n, start)
+            fs = np.array([travels.f_via_travels(A, cfg.k)])
+        fs = fs.repeat(1 << low)[max(0, lo - start) : hi - start]
+        values, counts = np.unique(fs, return_counts=True)
+        for f, count in zip(values.tolist(), counts.tolist()):
+            hist[f] += count
+        if start == lo == 0:
+            alternating_f = int(fs[0])
     return hist, alternating_f
 
 
@@ -558,9 +547,7 @@ def run_survey(cfg: SurveyConfig) -> SurveyResult:
     _, _, first, end = _counted(cfg)
 
     if cfg.crosscheck_samples:
-        report = engine_crosscheck(
-            cfg.rank, cfg.elements, cfg.k, cfg.crosscheck_samples, cfg.crosscheck_seed
-        )
+        report = engine_crosscheck(cfg.rank, cfg.elements, cfg.k, cfg.crosscheck_samples, 0)
         if not report.passed:
             raise EngineMismatchError(
                 f"engines disagree at class indices "

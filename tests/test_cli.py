@@ -302,6 +302,15 @@ class TestErrorHandling:
         assert str(path) in err and "is not a directory" in err
         assert not path.parent.exists()
 
+    def test_out_naming_a_directory_refused_before_counting(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(survey_module, "_run_chunk", lambda *args: 1 / 0)
+        code, out, err = run_cli(
+            capsys, "survey", "--rank", "3", "--elements", "5", "--k", "1", "--out", str(tmp_path)
+        )
+        assert code == 1 and out == ""
+        assert f"--out: cannot write {tmp_path}: it is a directory" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_checkpoint_directory_checked_before_counting(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "missing" / "cp.json"
         monkeypatch.setattr(survey_module, "_run_chunk", lambda *args: 1 / 0)

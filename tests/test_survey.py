@@ -633,6 +633,22 @@ class TestTableEngine:
             payload.pop("elapsed_seconds")
         assert json.dumps(got["result"]) == json.dumps(want)
 
+    @pytest.mark.parametrize("index", [0, 5])
+    def test_one_class_range_counts_one_class(self, monkeypatch, index):
+        # the first survey call of a fresh process, as perfbench's set-up
+        # step times it: no table, no run plan, one count
+        want = sign_core.count_k_neighborly_reorientations(representative_of_index(8, 11, index), 2)
+        built = self.record_tables(monkeypatch)
+        monkeypatch.setattr(sign_core, "_run_plan", lambda *args: pytest.fail("run plan built"))
+        counted, real = [], survey_module._representative_entries
+        monkeypatch.setattr(
+            survey_module, "_representative_entries", lambda *args: counted.append(args) or real(*args)
+        )
+        result = run_survey(SurveyConfig(8, 11, 2, index_range=(index, index + 1)))
+        assert built == [] and counted == [(8, 11, index & ~1)]
+        assert result.histogram == {want: 1}
+        assert result.alternating_class_f == (want if index == 0 else None)
+
     # runs of chessboard row 1 span 2^3 classes at (4,8) and 2^5 at (3,9)
     @pytest.mark.parametrize("r,n,k", [(4, 8, 1), (3, 9, 1)])
     @pytest.mark.parametrize("chunk_size", [5, 7, 4096])
