@@ -162,6 +162,8 @@ def _cmd_fcount(args) -> int:
 
 
 def _cmd_plain_travels(args) -> int:
+    if args.k is not None and args.matrix is None:
+        raise ValueError("plain-travels --k needs --matrix, the matrix whose travels it counts")
     if args.matrix is not None:
         A = _load_matrix(args)
         r, n = A.rows, A.cols
@@ -333,13 +335,13 @@ def _cmd_crosscheck(args) -> int:
             args.rank, args.elements, args.k, args.samples, args.seed
         )
         issues = report.violations
-        label = "violations"
+        label, plural = "violation", "violations"
     else:
         report = survey.engine_crosscheck(
             args.rank, args.elements, args.k, args.samples, args.seed
         )
         issues = report.mismatches
-        label = "mismatches"
+        label, plural = "mismatch", "mismatches"
     if args.json:
         _emit_json(report.to_json_dict())
     else:
@@ -347,8 +349,8 @@ def _cmd_crosscheck(args) -> int:
         print(f"{kind} check: rank {args.rank}, elements {args.elements}, k {args.k}, "
               f"{len(report.indices)} classes, seed {args.seed}")
         for issue in issues:
-            print(f"{label[:-2]}: {issue}")
-        print(f"result: {'PASS' if report.passed else 'FAIL'} ({len(issues)} {label})")
+            print(f"{label}: {issue}")
+        print(f"result: {'PASS' if report.passed else 'FAIL'} ({len(issues)} {plural})")
     return 0 if report.passed else 2
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from . import sign_core, travels
+from . import sign_core
 from .chessboard import class_count
 
 __all__ = [
@@ -69,9 +69,9 @@ def c_closed_form(r: int, n: int, k: int) -> int:
     return 2 * sum(comb(n - 1, i) for i in range(r - 2 * k))
 
 
-def c_value(r: int, n: int, k: int, engine: str = "circuits") -> CValue:
+def c_value(r: int, n: int, k: int) -> CValue:
     """Best available alternating count: closed form, odd-rank special value,
-    or exact engine evaluation of the all-plus matrix."""
+    or the circuits engine's count of the all-plus matrix."""
     if k < 0:
         raise ValueError(f"k must be non-negative, got k={k}")
     if r < 2 * k + 1:
@@ -89,13 +89,7 @@ def c_value(r: int, n: int, k: int, engine: str = "circuits") -> CValue:
     if n > sign_core.MAX_EXHAUSTIVE_ELEMENTS:
         return CValue(None, SOURCE_UNKNOWN)
     A = sign_core.alternating_matrix(r, n)
-    if engine == "circuits":
-        value = sign_core.count_k_neighborly_reorientations(A, k)
-    elif engine == "travels":
-        value = travels.f_via_travels(A, k)
-    else:
-        raise ValueError(f"unknown engine {engine!r} (expected 'circuits' or 'travels')")
-    return CValue(value, SOURCE_COMPUTED)
+    return CValue(sign_core.count_k_neighborly_reorientations(A, k), SOURCE_COMPUTED)
 
 
 def total_plain_travels(r: int, n: int) -> int:

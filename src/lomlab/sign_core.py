@@ -332,16 +332,16 @@ def is_k_neighborly_circuits(A: SignMatrix, reoriented: Iterable[int], k: int) -
 # negative.  Saturating "at least i" counters per side mark level >= i, both
 # sides keeping i elements; R is k-neighborly when every circuit has k+1.
 #
-# Circuits are taken in order of their largest column.  Deleting columns
-# leaves an LOM, so a half-mask that breaks a circuit on columns 0..j is lost
-# for good, and those kept are k-neighborly reorientations of an LOM on j+1
-# elements: at k >= 1 at most c(r, j+1, k), polynomial in j.  The count starts
-# from every half-mask of columns 0.._FIRST_STAGE and the circuits inside
-# them.  At each later column it keeps the half-masks still at the level
-# being counted, doubles them (the column unflipped, then flipped), packs
-# their planes and level bits again and ANDs in the circuits that end there;
-# when none is left the count is 0.  Up to n = 11 the first stage is the
-# whole count; past it the work follows the survivors, not 2^(n-1).
+# Circuits are sorted by largest column and counted in one stage per column.
+# Deleting columns leaves an LOM, so a half-mask that breaks a circuit on
+# columns 0..j is lost for good, and those kept are k-neighborly
+# reorientations of an LOM on j+1 elements: at k >= 1 at most c(r, j+1, k),
+# polynomial in j.  The first stage takes every half-mask of columns
+# 0..min(n-1, _FIRST_STAGE) and the circuits inside them.  Each later stage
+# keeps the half-masks still at the level being counted, doubles them (its
+# column unflipped, then flipped), packs them again and ANDs in the circuits
+# that end at its column; when none is left the count is 0.  Up to n = 11
+# the first stage is the only one; past it the work follows the survivors.
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=64)
@@ -443,14 +443,14 @@ def _neighborliness_levels(
     """(m, words) bits: the surviving half-masks at level >= 1..m on every circuit.
 
     Level i means (i-1)-neighborly; level 0, some circuit goes one-sided.
-    Rows ``level``..m are exact: a half-mask left out is below ``level``.
+    The circuits are read by last column, one stage per column from
+    min(n-1, _FIRST_STAGE) on; each stage keeps the half-masks at ``level``
+    or above, so rows ``level``..m are exact.
     """
     positive = _positive_rows(patterns, supports.shape[1] - 1)
     first = min(n - 1, _FIRST_STAGE)
-    order, ends = None, [supports.shape[0]]  # one stage: every circuit, in any order
-    if first < n - 1:  # then one stage per column, the circuits ending there
-        order = np.argsort(supports[:, -1].astype(np.uint8), kind="stable")  # a radix sort
-        ends = np.bincount(supports[:, -1], minlength=n).cumsum()[first:]
+    order = np.argsort(supports[:, -1].astype(np.uint8), kind="stable")  # a radix sort
+    ends = np.bincount(supports[:, -1], minlength=n).cumsum()[first:]  # stage end per column
     signed = _half_reorientation_masks(first + 1)
     planes = signed[: first + 1]
     out = np.full((m, signed.shape[1]), _valid_bits(first + 1))
@@ -467,11 +467,8 @@ def _neighborliness_levels(
             out = np.tile(kept[column:], 2)
         step = max(1, _BLOCK_BYTES // signed[0].nbytes)
         for lo in range(start, end, step):
-            if order is None:
-                elements, signs = supports[lo : lo + step].T, positive[:, lo : lo + step]
-            else:
-                batch = order[lo : min(end, lo + step)]
-                elements, signs = supports.take(batch, axis=0).T, positive.take(batch, axis=1)
+            batch = order[lo : min(end, lo + step)]
+            elements, signs = supports.take(batch, axis=0).T, positive.take(batch, axis=1)
             levels = _at_least(signed, elements, signs, m)
             out &= np.bitwise_and.reduce(levels, axis=1)
     return out

@@ -504,7 +504,7 @@ def _chunk_jobs(cfg: SurveyConfig, completed: set[int]) -> list[tuple[range, int
     _, _, lo, hi = _counted(cfg)
     ids = _chunk_ids(lo, hi, cfg.chunk_size)
     done = sorted(completed)
-    pending = len(ids) - len(done)
+    pending = ids.stop - ids.start - len(done)  # len() fails past sys.maxsize chunks
     per_batch = max(
         1,
         -(-pending // _MAX_BATCHES),
@@ -525,7 +525,7 @@ def _chunk_jobs(cfg: SurveyConfig, completed: set[int]) -> list[tuple[range, int
 def _survey_c_value(cfg: SurveyConfig) -> CValue:
     if cfg.rank < 2 * cfg.k + 1:
         return CValue(None, formulas.SOURCE_UNKNOWN)
-    return formulas.c_value(cfg.rank, cfg.elements, cfg.k, engine="circuits")
+    return formulas.c_value(cfg.rank, cfg.elements, cfg.k)
 
 
 def run_survey(cfg: SurveyConfig) -> SurveyResult:

@@ -228,6 +228,22 @@ class TestSurveyCommands:
         assert code == 0
         assert payload["passed"] is True and payload["violations"] == []
 
+    def test_crosscheck_minors_names_a_violation(self, capsys, monkeypatch):
+        violation = {"index": 5, "element": 2, "f": 8, "f_contract": 2, "f_delete": 4}
+        monkeypatch.setattr(
+            survey_module,
+            "minor_recursion_check",
+            lambda r, n, k, samples, seed: survey_module.MinorRecursionReport(
+                r, n, k, seed, [5], [violation]
+            ),
+        )
+        code, out, _ = run_cli(
+            capsys, "crosscheck", "--rank", "3", "--elements", "6", "--k", "1", "--minors",
+        )
+        assert code == 2
+        assert f"violation: {violation}\n" in out.splitlines(keepends=True)
+        assert out.endswith("result: FAIL (1 violations)\n")
+
 
 class TestErrorHandling:
     def test_missing_required_flag(self, capsys):
@@ -350,6 +366,13 @@ class TestErrorHandling:
             )
             assert code == 1 and out == "", engine
             assert "k must be non-negative, got k=-1" in err, engine
+
+    def test_plain_travels_k_needs_a_matrix(self, capsys):
+        code, out, err = run_cli(
+            capsys, "plain-travels", "--rank", "2", "--elements", "3", "--k", "1"
+        )
+        assert code == 1 and out == ""
+        assert "--k needs --matrix" in err
 
     def test_wide_matrix_count_names_n(self, capsys, tmp_path):
         wide = tmp_path / "wide.txt"

@@ -13,7 +13,7 @@ from lomlab.formulas import (
     total_plain_travels,
 )
 from lomlab.sign_core import alternating_matrix, count_k_neighborly_reorientations
-from lomlab.travels import enumerate_plain_travels
+from lomlab.travels import enumerate_plain_travels, f_via_travels
 
 
 class TestBinomial:
@@ -87,7 +87,9 @@ class TestCValue:
         assert (got.value, got.source) == (158, "closed_form")
 
     def test_travels_engine_fallback_agrees(self):
-        assert c_value(4, 6, 1, engine="travels").value == c_value(4, 6, 1).value
+        got = c_value(4, 6, 1)
+        assert got.source == "computed"
+        assert got.value == f_via_travels(alternating_matrix(4, 6), 1)
 
     def test_acyclic_reference(self):
         got = c_value(3, 5, 0)

@@ -659,6 +659,27 @@ class TestBitSlicedKernel:
             assert count_k_neighborly_reorientations(A, k) == want
             assert o_vector(A).count_at_least(k) == want
 
+    # With the default first stage (columns 0..10), n <= 11 is one stage over
+    # every circuit and n = 12, 13 add one or two column stages.  Each shape
+    # has a seeded reorientation of the alternating matrix, whose f > 0 at the
+    # k given keeps survivors in every stage, and eight seeded classes.
+    @pytest.mark.parametrize("r,n,k", [(5, 11, 1), (7, 11, 2), (5, 12, 1), (6, 13, 2)])
+    def test_default_stages_match_travels_and_chirotope(self, r, n, k):
+        rng = random.Random(20)
+        flips = [j for j in range(1, n + 1) if rng.random() < 0.5]
+        matrices = [reorient_columns(alternating_matrix(r, n), flips)] + [
+            representative_of_index(r, n, rng.randrange(class_count(r, n))) for _ in range(8)
+        ]
+        for A in matrices:
+            table = chirotope_from_matrix(A)
+            levels = o_vector(A)
+            for j in range((r - 1) // 2 + 2):
+                want = f_via_travels(A, j)
+                assert count_k_neighborly_reorientations(A, j) == want, j
+                assert count_k_neighborly_reorientations_chirotope(table, j) == want, j
+                assert levels.count_at_least(j) == want, j
+        assert count_k_neighborly_reorientations(matrices[0], k) == c_closed_form(r, n, k) > 0
+
     def test_returns_when_no_half_mask_survives(self, monkeypatch):
         # this class keeps 1-neighborly half-masks past the first stage (columns
         # 0..10) but none past column 11, so columns 12 and 13 are never tested

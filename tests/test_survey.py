@@ -295,6 +295,19 @@ class TestChunkJobs:
         assert len(jobs) == 4096
         assert {len(batch) for batch, _, _ in jobs} == {16}
 
+    def test_batches_past_sys_maxsize_chunks(self):
+        # 2^75 classes in default chunks: more chunk ids than len() can give
+        cfg = SurveyConfig(8, 20, 2)
+        _, _, lo, hi = _counted(cfg)
+        ids = _chunk_ids(lo, hi, cfg.chunk_size)
+        assert (lo, hi) == (0, 1 << 75) and ids.stop > sys.maxsize
+        jobs = _chunk_jobs(cfg, set())
+        assert 1 <= len(jobs) <= survey_module._MAX_BATCHES
+        assert (jobs[0][0].start, jobs[0][1]) == (0, 0)
+        assert (jobs[-1][0].stop, jobs[-1][2]) == (ids.stop, hi)
+        for (a, _, end), (b, first, _) in zip(jobs, jobs[1:]):
+            assert a.stop == b.start and end == first
+
     @staticmethod
     def greedy_batches(cfg, skip):
         """The batches of a greedy merge over a list of every chunk of the counted range."""
