@@ -4,20 +4,21 @@ A survey walks every chessboard class index at a given rank and element
 count, evaluates the k-neighborly reorientation count of the canonical
 representative with the selected engine, and aggregates a histogram plus
 maximizer statistics.  Results are deterministic: independent of worker
-count, chunk size, and checkpoint/resume history.  Long runs checkpoint
-after every completed batch of contiguous chunks (atomic write, refuse to
-resume on metadata mismatch).  The circuits engine counts a survey with a
-violation table: one, built in the calling process before any worker starts
-and shared by forked pool workers, or, when the pool starts its workers by
-spawn or forkserver, one built in each worker.  Its survey of the whole
-class space counts one class in 16: four column colorings leave f
-unchanged, and it counts the one class of each of their cosets whose index
-has bits 0, 1, B-2 and B-1 clear, B the number of index bits.  Where those
-colorings are not independent on these bits, on a few small shapes, it
-counts the lower half of the space, one class in 2.  ``_counted`` says
-which classes a survey counts, and ``_run_chunk``, the one loop that counts
-a chunk with either engine, with or without a table, credits each count to
-the classes it stands for.
+count, chunk size, and checkpoint/resume history.  Batches of contiguous
+chunks are absorbed in order, also from a pool, and long runs checkpoint
+after each one the cursor below which every chunk is done (atomic write,
+refuse to resume on metadata mismatch).  The circuits engine counts a
+survey with a violation table: one, built in the calling process before any
+worker starts and shared by forked pool workers, or, when the pool starts
+its workers by spawn or forkserver, one built in each worker.  Its survey
+of the whole class space counts one class in 16: four column colorings
+leave f unchanged, and it counts the one class of each of their cosets
+whose index has bits 0, 1, B-2 and B-1 clear, B the number of index bits.
+Where those colorings are not independent on these bits, on a few small
+shapes, it counts the lower half of the space, one class in 2.
+``_counted`` says which classes a survey counts, and ``_run_chunk``, the
+one loop that counts a chunk with either engine, with or without a table,
+credits each count to the classes it stands for.
 
 ``verify_case`` wraps the survey presets whose expected maximizer counts are
 known, reporting one pass/fail line per assertion.  ``engine_crosscheck``
@@ -197,15 +198,17 @@ class SurveyResult:
 
 @dataclass
 class Checkpoint:
+    """Every chunk of the range below ``next_chunk`` is done, with this histogram."""
+
     meta: dict
-    completed_chunks: set[int]
+    next_chunk: int
     partial_histogram: Counter
     alternating_class_f: int | None
 
     def to_json_dict(self) -> dict:
         return {
             "meta": self.meta,
-            "completed_chunks": sorted(self.completed_chunks),
+            "next_chunk": self.next_chunk,
             "partial_histogram": {
                 str(f): c for f, c in sorted(self.partial_histogram.items())
             },
@@ -245,21 +248,21 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a checkpoint and check it against its own metadata.
 
     Raises CorruptCheckpointError, naming the file, when the file is not a
-    checkpoint, names a chunk id that is not an integer chunk of its range,
-    holds a histogram entry that is not a count >= 1 of an integer f, or an
+    checkpoint with a cursor (one with a list of chunk ids is refused),
+    holds a cursor that is not an integer chunk id of its range or its end,
+    a histogram entry that is not a count >= 1 of an integer f, or an
     alternating f that is not an integer, holds a histogram that does not
-    total the classes of its completed chunks, or holds an alternating f
-    when the chunk holding class 0 is not done, or lacks one when it is.
+    total the classes below its cursor, or holds an alternating f when the
+    chunk holding class 0 is not done, or lacks one when it is.
     """
     try:
         data = json.loads(Path(path).read_text())
-        meta, chunks = data["meta"], data["completed_chunks"]
+        meta, cursor = data["meta"], data["next_chunk"]
         counts = data["partial_histogram"].items()
         alternating = data["partial_max"]["alternating_class_f"]
         lo, hi = meta["range"]
         size = meta["chunk_size"]
         ids = _chunk_ids(lo, hi, size)
-        done = set(chunks)
     except (ValueError, KeyError, TypeError, AttributeError, ArithmeticError) as exc:
         raise CorruptCheckpointError(
             f"checkpoint {path} is not a survey checkpoint: {type(exc).__name__}: {exc}"
@@ -268,10 +271,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     def corrupt(problem: str) -> CorruptCheckpointError:
         return CorruptCheckpointError(f"checkpoint {path} is inconsistent: {problem}")
 
-    # the list, since a set keeps only one of 1 and true, which are equal
-    outside = {c for c in chunks if type(c) is not int or c not in ids}
-    if outside:
-        raise corrupt(f"chunk ids {sorted(outside, key=str)} are not integer chunks of [{lo},{hi})")
+    # json gives 1.0 and true, which equal 1
+    if type(cursor) is not int or not ids.start <= cursor <= ids.stop:
+        raise corrupt(f"next_chunk {cursor!r} is not an integer in [{ids.start},{ids.stop}]")
     # json gives 4.9, true and "02" where int() would read 4, 1 and 2
     bad = {
         f: c for f, c in counts
@@ -281,20 +283,19 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise corrupt(f"histogram entries {bad} are not counts >= 1 of integer f values")
     if alternating is not None and type(alternating) is not int:
         raise corrupt(f"alternating_class_f {alternating!r} is not an integer")
-    # each completed chunk holds size classes, less those that lo and hi cut from the ends
-    covered = len(done) * size - lo % size * (ids.start in done) - -hi % size * (ids.stop - 1 in done)
+    covered = max(0, min(hi, cursor * size) - lo)
     surveyed = sum(c for _, c in counts)
     if surveyed != covered:
         raise corrupt(
-            f"histogram counts {surveyed} classes, but the completed chunks cover {covered}"
+            f"histogram counts {surveyed} classes, but the chunks below {cursor} cover {covered}"
         )
-    holds_zero = lo == 0 and 0 in done
+    holds_zero = lo == 0 and cursor > 0
     if (alternating is not None) != holds_zero:
         raise corrupt(
             f"alternating_class_f is {alternating}, but the chunk holding "
             f"class 0 is {'done' if holds_zero else 'not done'}"
         )
-    return Checkpoint(meta, done, Counter({int(f): c for f, c in counts}), alternating)
+    return Checkpoint(meta, cursor, Counter({int(f): c for f, c in counts}), alternating)
 
 
 # ---------------------------------------------------------------------------
@@ -489,37 +490,32 @@ def _counted(cfg: SurveyConfig) -> tuple[int, int, int, int]:
     return 2, 1, lo, hi // 2
 
 
-def _chunk_jobs(cfg: SurveyConfig, completed: set[int]) -> list[tuple[range, int, int]]:
-    """Batches of contiguous pending chunks as (chunk ids, first index, end index).
+def _chunk_jobs(cfg: SurveyConfig, next_chunk: int) -> list[tuple[range, int, int]]:
+    """Batches of the chunks from ``next_chunk`` on as (chunk ids, first index, end index).
 
-    Chunks cover the classes ``_counted`` names.  One batch is counted by
-    one call and checkpointed by one write, so small chunks do not pay the
-    fixed cost of a call and a write each.  A batch holds up to
-    ceil(DEFAULT_CHUNK_SIZE / chunk_size) chunks, so one chunk at
-    DEFAULT_CHUNK_SIZE or more, and few enough that every worker still gets
-    at least four batches when there are enough chunks.  Past _MAX_BATCHES
-    pending chunks it holds ceil(pending / _MAX_BATCHES) of them instead,
-    since every write rewrites all completed chunk ids.
+    Chunks cover the classes ``_counted`` names, and the pending ones are
+    one contiguous range.  One batch is counted by one call and checkpointed
+    by one write, so small chunks do not pay the fixed cost of a call and a
+    write each.  A batch holds up to ceil(DEFAULT_CHUNK_SIZE / chunk_size)
+    chunks, so one chunk at DEFAULT_CHUNK_SIZE or more, and few enough that
+    every worker still gets at least four batches when there are enough
+    chunks.  Past _MAX_BATCHES pending chunks it holds
+    ceil(pending / _MAX_BATCHES) of them instead, which bounds the number of
+    synced writes.
     """
     _, _, lo, hi = _counted(cfg)
-    ids = _chunk_ids(lo, hi, cfg.chunk_size)
-    done = sorted(completed)
-    pending = ids.stop - ids.start - len(done)  # len() fails past sys.maxsize chunks
+    size = cfg.chunk_size
+    stop = _chunk_ids(lo, hi, size).stop
+    pending = stop - next_chunk
     per_batch = max(
         1,
         -(-pending // _MAX_BATCHES),
-        min(-(-DEFAULT_CHUNK_SIZE // cfg.chunk_size), pending // (4 * cfg.threads)),
+        min(-(-DEFAULT_CHUNK_SIZE // size), pending // (4 * cfg.threads)),
     )
-    batches: list[tuple[range, int, int]] = []
-    # fill each gap between completed chunks, every batch from where the last one ended
-    for a, stop in zip([ids.start] + [c + 1 for c in done], done + [ids.stop]):
-        first = max(lo, a * cfg.chunk_size)
-        while a < stop:
-            b = min(a + per_batch, stop)
-            end = min(hi, b * cfg.chunk_size)
-            batches.append((range(a, b), first, end))
-            a, first = b, end
-    return batches
+    return [
+        (range(a, min(a + per_batch, stop)), max(lo, a * size), min(hi, (a + per_batch) * size))
+        for a in range(next_chunk, stop, per_batch)
+    ]
 
 
 def _survey_c_value(cfg: SurveyConfig) -> CValue:
@@ -537,12 +533,13 @@ def run_survey(cfg: SurveyConfig) -> SurveyResult:
     starts its workers other than by fork, and then once in each worker.
     """
     start = time.perf_counter()
-    if cfg.checkpoint_path is not None and not Path(cfg.checkpoint_path).parent.is_dir():
+    if cfg.checkpoint_path is not None:
         # checked before counting, so that no count is lost for want of a place to save it
-        raise ValueError(
-            f"checkpoint {cfg.checkpoint_path}: "
-            f"{Path(cfg.checkpoint_path).parent} is not a directory"
-        )
+        path = Path(cfg.checkpoint_path)
+        if not path.parent.is_dir():
+            raise ValueError(f"checkpoint {path}: {path.parent} is not a directory")
+        if path.is_dir():
+            raise ValueError(f"checkpoint {path}: it is a directory")
     lo, hi = cfg.bounds()
     _, _, first, end = _counted(cfg)
 
@@ -555,7 +552,7 @@ def run_survey(cfg: SurveyConfig) -> SurveyResult:
             )
 
     meta = _checkpoint_meta(cfg)
-    checkpoint = Checkpoint(meta, set(), Counter(), None)
+    checkpoint = Checkpoint(meta, _chunk_ids(first, end, cfg.chunk_size).start, Counter(), None)
     if cfg.checkpoint_path is not None and Path(cfg.checkpoint_path).exists():
         checkpoint = load_checkpoint(cfg.checkpoint_path)
         if checkpoint.meta != meta:
@@ -564,11 +561,13 @@ def run_survey(cfg: SurveyConfig) -> SurveyResult:
                 f"refusing to resume a survey with {meta}"
             )
 
-    jobs = _chunk_jobs(cfg, checkpoint.completed_chunks)
+    jobs = _chunk_jobs(cfg, checkpoint.next_chunk)
 
     def absorb(chunk_ids: range, hist: dict, alt: int | None) -> None:
+        if chunk_ids.start != checkpoint.next_chunk:
+            raise RuntimeError(f"batch {chunk_ids} out of order at chunk {checkpoint.next_chunk}")
         checkpoint.partial_histogram.update(hist)
-        checkpoint.completed_chunks.update(chunk_ids)
+        checkpoint.next_chunk = chunk_ids.stop
         if alt is not None:
             checkpoint.alternating_class_f = alt
         if cfg.checkpoint_path is not None:
@@ -587,7 +586,7 @@ def run_survey(cfg: SurveyConfig) -> SurveyResult:
             initializer=_init_worker,
             initargs=(cfg, table, None if in_parent else end - first),
         ) as pool:
-            for chunk_ids, hist, alt in pool.imap_unordered(_worker_chunk, jobs):
+            for chunk_ids, hist, alt in pool.imap(_worker_chunk, jobs):
                 absorb(chunk_ids, hist, alt)
 
     scale = (hi - lo) // (end - first)

@@ -340,6 +340,17 @@ class TestErrorHandling:
             assert ".tmp" not in err, argv
         assert not path.parent.exists()
 
+    def test_checkpoint_naming_a_directory_refused_before_counting(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(survey_module, "_run_chunk", lambda *args: 1 / 0)
+        for argv in (
+            ("survey", "--rank", "3", "--elements", "5", "--k", "1"),
+            ("verify", "--case", "r3n5k1"),
+        ):
+            code, out, err = run_cli(capsys, *argv, "--checkpoint", str(tmp_path))
+            assert code == 1 and out == "", argv
+            assert f"checkpoint {tmp_path}: it is a directory" in err, argv
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_thread_count_names_the_value(self, capsys):
         code, out, err = run_cli(
             capsys, "survey", "--rank", "3", "--elements", "5", "--k", "1", "--threads", "0"
@@ -416,7 +427,7 @@ class TestKillAndResume:
         proc = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
         try:
             deadline = time.monotonic() + 120
-            while not (checkpoint.exists() and load_checkpoint(checkpoint).completed_chunks):
+            while not (checkpoint.exists() and load_checkpoint(checkpoint).next_chunk):
                 assert proc.poll() is None, proc.stderr.read()
                 assert time.monotonic() < deadline, "no chunk was checkpointed"
                 time.sleep(0.02)
@@ -425,7 +436,7 @@ class TestKillAndResume:
             proc.wait(timeout=60)
             proc.stderr.close()
         assert proc.returncode == -signal.SIGKILL
-        done = len(load_checkpoint(checkpoint).completed_chunks)
+        done = load_checkpoint(checkpoint).next_chunk
         assert 0 < done < class_count(7, 11) // 4 // 64  # killed mid-run, in the prefix
         resumed = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=600)
         assert resumed.returncode == 0, resumed.stderr

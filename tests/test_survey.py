@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import time
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -15,7 +16,7 @@ import pytest
 import lomlab.sign_core as sign_core
 import lomlab.survey as survey_module
 from conftest import brute_force_count
-from lomlab.chessboard import ENCODING_VERSION, class_count, representative_of_index
+from lomlab.chessboard import class_count, representative_of_index
 from lomlab.sign_core import _run_width, violation_table_nbytes
 from lomlab.survey import (
     DEFAULT_CHUNK_SIZE,
@@ -99,7 +100,7 @@ class TestRunSurvey:
     def test_pool_starts_no_more_workers_than_batches(self, pools):
         # the lower half of the 16 classes is two chunks of 4
         cfg = SurveyConfig(3, 6, 1, threads=8, chunk_size=4)
-        assert len(_chunk_jobs(cfg, set())) == 2
+        assert len(_chunk_jobs(cfg, 0)) == 2
         base = result_fingerprint(run_survey(SurveyConfig(3, 6, 1)))
         assert result_fingerprint(run_survey(cfg)) == base
         assert pools == [2]
@@ -222,38 +223,40 @@ class TestQuotient:
 
 
 class TestChunkJobs:
-    """Pending chunks go out in batches of contiguous chunk ids.  The chunks
-    cover the classes a survey counts: the prefix [0, N/4) of the space for
-    a circuits survey of the whole space, which stands for the other three
-    quarters too, and every class in its bounds for any other survey."""
+    """Pending chunks go out in batches of contiguous chunk ids, from the
+    cursor to the end.  The chunks cover the classes a survey counts: the
+    prefix [0, N/4) of the space for a circuits survey of the whole space,
+    which stands for the other three quarters too, and every class in its
+    bounds for any other survey.  ``skip`` is the range of chunks that a
+    checkpoint holds done, from the first chunk to the cursor."""
 
     @staticmethod
     def check(cfg, bounds, skip, per_batch):
         lo, hi = bounds
         size = cfg.chunk_size
-        jobs = _chunk_jobs(cfg, skip)
+        assert skip.start == _chunk_ids(lo, hi, size).start
+        jobs = _chunk_jobs(cfg, skip.stop)
         ids = [cid for batch, _, _ in jobs for cid in batch]
         # each pending chunk once, in order
-        assert ids == [cid for cid in _chunk_ids(lo, hi, size) if cid not in skip]
+        assert ids == list(range(skip.stop, _chunk_ids(lo, hi, size).stop))
         for batch, a, b in jobs:
             assert (a, b) == (max(lo, batch[0] * size), min(hi, (batch[-1] + 1) * size))
-            assert 1 <= len(batch) <= per_batch
-        # a batch stops short of the cap only where the next chunk does not follow it
-        for (batch, _, _), (following, _, _) in zip(jobs, jobs[1:]):
-            assert len(batch) == per_batch or following[0] != batch[-1] + 1
+        # every batch but the last holds the cap
+        assert {len(batch) for batch, _, _ in jobs[:-1]} <= {per_batch}
+        assert 1 <= len(jobs[-1][0]) <= per_batch
         assert max(len(batch) for batch, _, _ in jobs) == per_batch
         return ids
 
     @pytest.mark.parametrize(
         "r,n,chunk_size,threads,index_range,skip,per_batch",
         [
-            (3, 8, 4, 1, None, set(), 16),  # 64 chunks: at least four batches a worker
-            (3, 8, 4, 2, None, {5, 6, 20, 63}, 7),  # 60 pending // (4 * 2)
-            (3, 8, 4, 1, (5, 251), {1, 30}, 15),  # chunks 1..62, the ends cut by the range
-            (7, 11, 2048, 1, None, {0}, 2),  # DEFAULT_CHUNK_SIZE classes a batch
-            (3, 8, 4, 3, None, set(range(60)), 1),  # too few pending chunks to merge
-            (7, 11, DEFAULT_CHUNK_SIZE, 1, None, set(), 1),
-            (7, 11, 5000, 2, None, {3}, 1),
+            (3, 8, 4, 1, None, range(0), 16),  # 64 chunks: at least four batches a worker
+            (3, 8, 4, 2, None, range(4), 7),  # 60 pending // (4 * 2)
+            (3, 8, 4, 1, (5, 251), range(1, 3), 15),  # chunks 1..62, the ends cut by the range
+            (7, 11, 2048, 1, None, range(1), 2),  # DEFAULT_CHUNK_SIZE classes a batch
+            (3, 8, 4, 3, None, range(60), 1),  # too few pending chunks to merge
+            (7, 11, DEFAULT_CHUNK_SIZE, 1, None, range(0), 1),
+            (7, 11, 5000, 2, None, range(1), 1),
         ],
     )
     def test_batches(self, r, n, chunk_size, threads, index_range, skip, per_batch):
@@ -268,14 +271,14 @@ class TestChunkJobs:
     @pytest.mark.parametrize(
         "r,n,chunk_size,threads,index_range,skip,per_batch,pending",
         [
-            (3, 8, 2, 1, None, set(), 8, 32),  # 32 chunks of the prefix: four batches a worker
-            (3, 8, 2, 2, None, {5, 6, 20}, 3, 29),  # 29 pending // (4 * 2)
-            (3, 8, 4, 1, (5, 251), {1, 30}, 15, 60),  # chunks 1..62, across the prefix's end
-            (7, 11, 2048, 1, None, {0}, 2, 31),  # DEFAULT_CHUNK_SIZE classes a batch
-            (3, 8, 2, 3, None, set(range(28)), 1, 4),  # too few pending chunks to merge
-            (7, 11, DEFAULT_CHUNK_SIZE, 1, None, set(), 1, 16),
-            (7, 11, 5000, 2, None, {3}, 1, 13),  # the last chunk is cut at the prefix's end
-            (3, 6, 3, 1, (7, 9), set(), 1, 1),  # [7, 9) across half the space, cut by the range
+            (3, 8, 2, 1, None, range(0), 8, 32),  # 32 chunks of the prefix: four batches a worker
+            (3, 8, 2, 2, None, range(3), 3, 29),  # 29 pending // (4 * 2)
+            (3, 8, 4, 1, (5, 251), range(1, 3), 15, 60),  # chunks 1..62, across the prefix's end
+            (7, 11, 2048, 1, None, range(1), 2, 31),  # DEFAULT_CHUNK_SIZE classes a batch
+            (3, 8, 2, 3, None, range(28), 1, 4),  # too few pending chunks to merge
+            (7, 11, DEFAULT_CHUNK_SIZE, 1, None, range(0), 1, 16),
+            (7, 11, 5000, 2, None, range(1), 1, 13),  # the last chunk is cut at the prefix's end
+            (3, 6, 3, 1, (7, 9), range(2, 2), 1, 1),  # [7, 9) across half the space, cut by the range
         ],
     )
     def test_mirrored_batches(
@@ -288,10 +291,9 @@ class TestChunkJobs:
         assert len(self.check(cfg, bounds, skip, per_batch)) == pending
 
     def test_checkpoint_writes_stay_bounded(self):
-        # every write rewrites all completed chunk ids: one write for each of
-        # the 65536 default-size chunks of the prefix of (7,13) would cost
-        # their square
-        jobs = _chunk_jobs(SurveyConfig(7, 13, 2, threads=2), set())
+        # every write is synced: the 65536 default-size chunks of the prefix
+        # of (7,13) go out in 4096 batches, not one write each
+        jobs = _chunk_jobs(SurveyConfig(7, 13, 2, threads=2), 0)
         assert len(jobs) == 4096
         assert {len(batch) for batch, _, _ in jobs} == {16}
 
@@ -301,7 +303,7 @@ class TestChunkJobs:
         _, _, lo, hi = _counted(cfg)
         ids = _chunk_ids(lo, hi, cfg.chunk_size)
         assert (lo, hi) == (0, 1 << 75) and ids.stop > sys.maxsize
-        jobs = _chunk_jobs(cfg, set())
+        jobs = _chunk_jobs(cfg, 0)
         assert 1 <= len(jobs) <= survey_module._MAX_BATCHES
         assert (jobs[0][0].start, jobs[0][1]) == (0, 0)
         assert (jobs[-1][0].stop, jobs[-1][2]) == (ids.stop, hi)
@@ -352,24 +354,27 @@ class TestChunkJobs:
             ids = _chunk_ids(lo, hi, chunk_size)
             if len(ids) > 1 << 14:
                 continue
-            density = rng.choice([0, 0.01, 0.3, 0.5, 0.9, 1, rng.random()])
-            skip = {cid for cid in ids if rng.random() < density}
-            assert _chunk_jobs(cfg, skip) == self.greedy_batches(cfg, skip), (cfg, sorted(skip))
+            done = rng.choice([0, 0.01, 0.3, 0.5, 0.9, 1, rng.random()])
+            cursor = ids.start + int(done * len(ids))
+            skip = set(range(ids.start, cursor))
+            assert _chunk_jobs(cfg, cursor) == self.greedy_batches(cfg, skip), (cfg, cursor)
             cases += 1
 
     def test_frontier_batches_cost_no_memory_per_chunk(self):
         # the 2^21 chunks of the prefix of (6,14) go out in 4096 batches,
-        # with no list of the chunks themselves
+        # with no list of the chunks themselves, with none, half or nine
+        # tenths of them done
         cfg = SurveyConfig(6, 14, 2)
-        tracemalloc.start()
-        try:
-            jobs = _chunk_jobs(cfg, set())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(jobs) == 4096
-        assert {len(batch) for batch, _, _ in jobs} == {512}
-        assert peak < 1 << 20
+        for done in (0, 1 << 20, 15 << 17):
+            tracemalloc.start()
+            try:
+                jobs = _chunk_jobs(cfg, done)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(jobs) == 4096
+            assert {len(batch) for batch, _, _ in jobs} == {((1 << 21) - done) // 4096}
+            assert peak < 1 << 20
 
 
 class TestCheckpointing:
@@ -377,10 +382,10 @@ class TestCheckpointing:
         path = tmp_path / "survey.ckpt.json"
         cfg = SurveyConfig(3, 6, 1, chunk_size=4, checkpoint_path=path)
 
-        # simulate an interrupted run: only chunk 1 finished ((3,6) counts
+        # simulate an interrupted run: only chunk 0 finished ((3,6) counts
         # the lower half: c3 and c(n-3) are one coloring)
-        hist, _ = _run_chunk(cfg, None, 4, 8)
-        partial = Checkpoint(_checkpoint_meta(cfg), {1}, Counter(hist), None)
+        hist, alternating = _run_chunk(cfg, None, 0, 4)
+        partial = Checkpoint(_checkpoint_meta(cfg), 1, Counter(hist), alternating)
         save_checkpoint(path, partial)
 
         resumed = run_survey(cfg)
@@ -390,7 +395,7 @@ class TestCheckpointing:
         # the checkpoint on disk now covers both chunks of the lower half,
         # each of its 8 classes counted once
         final = load_checkpoint(path)
-        assert final.completed_chunks == {0, 1}
+        assert final.next_chunk == 2
         assert sum(final.partial_histogram.values()) == 8
 
     def test_checkpoint_write_is_idempotent_when_complete(self, tmp_path):
@@ -407,24 +412,28 @@ class TestCheckpointing:
             run_survey(SurveyConfig(3, 6, 0, chunk_size=4, checkpoint_path=path))
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_resume_with_every_third_chunk_done(self, tmp_path, pools, threads):
-        path = tmp_path / "thirds.ckpt.json"
+    def test_resume_from_every_batch_boundary(self, tmp_path, monkeypatch, pools, threads):
+        path = tmp_path / "boundary.ckpt.json"
         cfg = SurveyConfig(8, 11, 2, threads=threads, chunk_size=64, checkpoint_path=path)
-        table = _survey_table(cfg, class_count(8, 11))
-        done, hist, alternating = set(), Counter(), None
-        for cid in _chunk_ids(0, class_count(8, 11) // 4, 64)[::3]:
-            chunk_hist, chunk_alt = _run_chunk(cfg, table, cid * 64, (cid + 1) * 64)
-            done.add(cid)
-            hist.update(chunk_hist)
-            alternating = alternating if chunk_alt is None else chunk_alt
-        # the indented layout that earlier versions wrote still resumes
-        partial = Checkpoint(_checkpoint_meta(cfg), done, hist, alternating)
-        path.write_text(json.dumps(partial.to_json_dict(), indent=2) + "\n")
-
-        resumed = run_survey(cfg)
-        assert result_fingerprint(resumed) == result_fingerprint(run_survey(SurveyConfig(8, 11, 2)))
-        assert load_checkpoint(path).completed_chunks == set(range(64))
-        assert pools == [2] * (threads > 1)
+        written = []
+        real = survey_module.save_checkpoint
+        monkeypatch.setattr(
+            survey_module, "save_checkpoint",
+            lambda p, cp: (real(p, cp), written.append(Path(p).read_text())),
+        )
+        fresh = result_fingerprint(run_survey(cfg))
+        assert fresh == result_fingerprint(run_survey(SurveyConfig(8, 11, 2)))
+        # 64 chunks of the prefix in four batches a worker; the last write is the complete run
+        boundaries = written.copy()
+        step = 64 // (4 * threads)
+        assert [json.loads(text)["next_chunk"] for text in boundaries] == list(range(step, 65, step))
+        for text in boundaries:
+            # indented, as earlier versions wrote checkpoints, and still read
+            path.write_text(json.dumps(json.loads(text), indent=2) + "\n")
+            assert result_fingerprint(run_survey(cfg)) == fresh
+            assert load_checkpoint(path).next_chunk == 64
+        # on two threads, the fresh run and each resume with chunks pending start a pool
+        assert pools == [2] * (threads > 1) * 8
 
     def test_pool_writes_one_checkpoint_per_batch(self, tmp_path, monkeypatch, pools):
         path = tmp_path / "pool.ckpt.json"
@@ -433,15 +442,39 @@ class TestCheckpointing:
         real = survey_module.save_checkpoint
         monkeypatch.setattr(
             survey_module, "save_checkpoint",
-            lambda p, cp: (saved.append(len(cp.completed_chunks)), real(p, cp)),
+            lambda p, cp: (saved.append(cp.next_chunk), real(p, cp)),
         )
         pooled = result_fingerprint(run_survey(cfg))
         assert pooled == result_fingerprint(run_survey(SurveyConfig(8, 11, 2)))
         # 64 chunks in the prefix, 8 to a batch: four batches for each of
         # the two workers
-        assert len(saved) == len(_chunk_jobs(cfg, set())) == 8
+        assert len(saved) == len(_chunk_jobs(cfg, 0)) == 8
         assert saved == list(range(8, 65, 8))
-        assert load_checkpoint(path).completed_chunks == set(range(64))
+        assert load_checkpoint(path).next_chunk == 64
+        assert pools == [2]
+
+    def test_pool_absorbs_batches_in_order(self, tmp_path, monkeypatch, pools):
+        # The first batch finishes last: the workers, forked after the patch,
+        # sleep on it.  Every checkpoint written meanwhile still loads, each
+        # one further on.  (4,8) counts 16 chunks of 8 in 8 batches of two.
+        path = tmp_path / "order.ckpt.json"
+        want = result_fingerprint(run_survey(SurveyConfig(4, 8, 1)))
+        real_run, real_save = survey_module._run_chunk, survey_module.save_checkpoint
+
+        def first_batch_last(cfg, table, lo, hi):
+            if lo == 0:
+                time.sleep(0.5)
+            return real_run(cfg, table, lo, hi)
+
+        cursors = []
+        monkeypatch.setattr(survey_module, "_run_chunk", first_batch_last)
+        monkeypatch.setattr(
+            survey_module, "save_checkpoint",
+            lambda p, cp: (real_save(p, cp), cursors.append(load_checkpoint(p).next_chunk)),
+        )
+        cfg = SurveyConfig(4, 8, 1, threads=2, chunk_size=8, checkpoint_path=path)
+        assert result_fingerprint(run_survey(cfg)) == want
+        assert cursors == list(range(2, 17, 2))
         assert pools == [2]
 
     def test_range_mismatch_refused(self, tmp_path):
@@ -453,42 +486,32 @@ class TestCheckpointing:
     # (4,8) has 512 classes in 32 chunks of 16.  The whole-space survey
     # counts chunks 0..7, the prefix; the range survey of all 512 counts
     # every chunk, also those whose mirror, 16 chunks away, is done.
-    # first-batch is the first batch of two chunks, and
-    # upper-half-of-the-lower the upper half of the prefix.
+    # lower-of-a-pair is chunk 0 done without its mirror, first-batch the
+    # first batch of two chunks, and prefix the whole prefix, none pending.
     @pytest.mark.parametrize(
-        "done,index_range",
-        [
-            (set(range(16, 32)), (0, 512)),
-            ({0}, (0, 512)),
-            ({16}, (0, 512)),
-            ({3, 6}, None),
-            (set(range(2)), None),
-            (set(range(4, 8)), None),
-            ({0, 2, 3, 7}, None),
-        ],
-        ids=[
-            "upper-half", "lower-of-a-pair", "upper-of-a-pair", "scattered", "first-batch",
-            "upper-half-of-the-lower", "scattered-ends",
-        ],
+        "cursor,index_range",
+        [(16, (0, 512)), (1, (0, 512)), (2, None), (4, None), (8, None)],
+        ids=["lower-half", "lower-of-a-pair", "first-batch", "lower-half-of-the-prefix", "prefix"],
     )
-    def test_resume_counts_each_chunk_once(self, tmp_path, counted, done, index_range):
+    def test_resume_counts_each_chunk_once(self, tmp_path, counted, cursor, index_range):
         path = tmp_path / "resume.ckpt.json"
         cfg = SurveyConfig(4, 8, 1, chunk_size=16, checkpoint_path=path, index_range=index_range)
         table = _survey_table(cfg, class_count(4, 8))
         hist, alternating = Counter(), None
-        for cid in done:
+        for cid in range(cursor):
             chunk_hist, chunk_alt = _run_chunk(cfg, table, cid * 16, cid * 16 + 16)
             hist.update(chunk_hist)
             alternating = alternating if chunk_alt is None else chunk_alt
-        save_checkpoint(path, Checkpoint(_checkpoint_meta(cfg), done, hist, alternating))
+        save_checkpoint(path, Checkpoint(_checkpoint_meta(cfg), cursor, hist, alternating))
+        counted.clear()
 
         resumed = result_fingerprint(run_survey(cfg))
         # every pending class of the counted ones is counted once, and none
         # that the checkpoint holds
         end = 512 if index_range else 128
-        assert sorted(counted) == [c for c in range(end) if c // 16 not in done]
+        assert counted == list(range(cursor * 16, end))
         assert resumed == result_fingerprint(run_survey(SurveyConfig(4, 8, 1, index_range=index_range)))
-        assert load_checkpoint(path).completed_chunks == set(range(end // 16))
+        assert load_checkpoint(path).next_chunk == end // 16
 
     def test_quotient_recorded(self, tmp_path):
         metas = {}
@@ -511,33 +534,10 @@ class TestCheckpointing:
         cfg = SurveyConfig(4, 8, 1, chunk_size=16, checkpoint_path=path)
         meta = dict(_checkpoint_meta(cfg), quotient=2, range=[0, 256])
         hist, alternating = _run_chunk(SurveyConfig(4, 8, 1, index_range=(0, 16)), None, 0, 16)
-        save_checkpoint(path, Checkpoint(meta, {0}, hist, alternating))
+        save_checkpoint(path, Checkpoint(meta, 1, hist, alternating))
         assert load_checkpoint(path).meta == meta
         with pytest.raises(CheckpointMismatchError, match="half.ckpt.json"):
             run_survey(cfg)
-
-    def test_whole_space_checkpoint_of_mirrored_chunks(self, tmp_path, counted):
-        # A whole-space checkpoint as earlier versions wrote it, pairing
-        # mirrored chunks: no quotient, and chunk 3 and its mirror 19 done by
-        # one count of chunk 3, added twice.
-        # The quotiented survey refuses it; the range survey of the whole
-        # space resumes it, since f(i) = f(i ^ 256) makes the doubled count exact.
-        path = tmp_path / "mirrored.ckpt.json"
-        meta = {
-            "rank": 4, "elements": 8, "k": 1, "engine": "circuits", "chunk_size": 16,
-            "encoding_version": ENCODING_VERSION, "range": [0, 512],
-        }
-        hist, _ = _run_chunk(SurveyConfig(4, 8, 1), None, 48, 64)
-        doubled = Counter({f: 2 * c for f, c in hist.items()})
-        save_checkpoint(path, Checkpoint(meta, {3, 19}, doubled, None))
-        with pytest.raises(CheckpointMismatchError, match="mirrored.ckpt.json"):
-            run_survey(SurveyConfig(4, 8, 1, chunk_size=16, checkpoint_path=path))
-
-        whole = run_survey(SurveyConfig(4, 8, 1)).histogram
-        counted.clear()
-        cfg = SurveyConfig(4, 8, 1, chunk_size=16, checkpoint_path=path, index_range=(0, 512))
-        assert run_survey(cfg).histogram == whole
-        assert counted == [c for c in range(512) if c // 16 not in (3, 19)]
 
 
 class TestVerifyCase:
@@ -700,23 +700,39 @@ class TestTableEngine:
 
 
 class TestSelfChecks:
-    def write(self, path, cfg, chunks, hist, alternating):
-        save_checkpoint(path, Checkpoint(_checkpoint_meta(cfg), chunks, Counter(hist), alternating))
+    def write(self, path, cfg, cursor, hist, alternating):
+        save_checkpoint(path, Checkpoint(_checkpoint_meta(cfg), cursor, Counter(hist), alternating))
 
     def test_histogram_short_of_completed_chunks_refused(self, tmp_path):
         # chunk 0 of 4x7 covers all 64 classes; a 1-class histogram is not its result
         path = tmp_path / "short.ckpt.json"
         cfg = SurveyConfig(4, 7, 1, checkpoint_path=path)
-        self.write(path, cfg, {0}, {4: 1}, 4)
+        self.write(path, cfg, 1, {4: 1}, 4)
         with pytest.raises(CorruptCheckpointError, match="short.ckpt.json.*counts 1 classes"):
             run_survey(cfg)
 
+    # chunks of 4 over [5, 14): chunk 1 holds 5..7, chunk 3 holds 12 and 13
+    @pytest.mark.parametrize("cursor,classes", [(1, 0), (2, 3), (3, 7), (4, 9)])
+    def test_histogram_must_total_the_classes_below_the_cursor(self, tmp_path, cursor, classes):
+        path = tmp_path / "cut.ckpt.json"
+        cfg = SurveyConfig(3, 6, 1, chunk_size=4, checkpoint_path=path, index_range=(5, 14))
+        for wrong in (classes + 1, classes + 4):
+            self.write(path, cfg, cursor, {2: wrong}, None)
+            with pytest.raises(
+                CorruptCheckpointError,
+                match=rf"cut.ckpt.json.*counts {wrong} classes, but the chunks below {cursor} cover {classes}",
+            ):
+                load_checkpoint(path)
+        self.write(path, cfg, cursor, {2: classes} if classes else {}, None)
+        assert load_checkpoint(path).next_chunk == cursor
+
     def test_chunk_id_past_the_lower_half_refused(self, tmp_path):
-        # the 16 classes of (3,6) at chunk size 4: the lower half is chunks 0 and 1
+        # the 16 classes of (3,6) at chunk size 4: the lower half is chunks 0
+        # and 1, so the cursor is at most 2
         path = tmp_path / "past.ckpt.json"
         cfg = SurveyConfig(3, 6, 1, chunk_size=4, checkpoint_path=path)
-        self.write(path, cfg, {2}, {2: 4}, None)
-        with pytest.raises(CorruptCheckpointError, match=r"past.ckpt.json.*\[2\].*\[0,8\)"):
+        self.write(path, cfg, 3, {2: 8}, 2)
+        with pytest.raises(CorruptCheckpointError, match=r"past.ckpt.json.*next_chunk 3 .*\[0,2\]"):
             load_checkpoint(path)
 
     def test_checkpoint_directory_checked_before_counting(self, tmp_path, monkeypatch):
@@ -732,32 +748,50 @@ class TestSelfChecks:
         with pytest.raises(ValueError, match=f"checkpoint {re.escape(str(path))}"):
             verify_case("r4n8k1", checkpoint_path=path)
         assert not path.parent.exists()
+        with pytest.raises(ValueError, match=f"checkpoint {re.escape(str(tmp_path))}: it is a directory"):
+            run_survey(SurveyConfig(4, 8, 1, checkpoint_path=tmp_path))
 
     def test_chunk_id_out_of_range_refused(self, tmp_path):
+        # chunks of 4 over [5, 14) are 1, 2 and 3, so the cursor is 1 to 4;
+        # 2.0 and true equal 2 and 1, but no survey writes them
         path = tmp_path / "ids.ckpt.json"
-        cfg = SurveyConfig(3, 6, 1, chunk_size=4, checkpoint_path=path)
-        # 1.0 and true equal chunk 1, which holds classes 4..7; no survey writes them
-        for cid in [4, 1.0, True, "1", 1.5]:
-            self.write(path, cfg, {cid}, {2: 4}, None)
-            with pytest.raises(CorruptCheckpointError, match=rf"ids.ckpt.json.*\[{re.escape(repr(cid))}\]"):
+        cfg = SurveyConfig(3, 6, 1, chunk_size=4, checkpoint_path=path, index_range=(5, 14))
+        for cursor in [0, 5, -1, 2.0, True, "2", 1.5, None, [2]]:
+            self.write(path, cfg, cursor, {2: 3}, None)
+            with pytest.raises(
+                CorruptCheckpointError,
+                match=rf"ids.ckpt.json.*next_chunk {re.escape(repr(cursor))} .*\[1,4\]",
+            ):
                 load_checkpoint(path)
 
+    def test_checkpoint_with_a_list_of_chunk_ids_refused(self, tmp_path):
+        # as written before checkpoints kept a cursor: chunk 0 of (3,6) at chunk size 4 done
+        path = tmp_path / "listed.ckpt.json"
+        cfg = SurveyConfig(3, 6, 1, chunk_size=4, checkpoint_path=path)
+        path.write_text(json.dumps({
+            "meta": _checkpoint_meta(cfg), "completed_chunks": [0],
+            "partial_histogram": {"2": 4}, "partial_max": {"alternating_class_f": 2},
+        }))
+        for attempt in (lambda: load_checkpoint(path), lambda: run_survey(cfg)):
+            with pytest.raises(CorruptCheckpointError, match="listed.ckpt.json.*next_chunk"):
+                attempt()
+
     def test_frontier_checkpoint_loads_in_memory_of_its_completed_chunks(self, tmp_path):
-        # the lower half of the 2^18 chunks that count the prefix of (5,14):
-        # the load holds the file and these ids, about 11 MiB, and nothing for
-        # each chunk of the space
+        # half and nine tenths of the 2^21 chunks that count the prefix of
+        # (6,14): the file and its load cost the same at any progress
         path = tmp_path / "frontier.ckpt.json"
-        cfg = SurveyConfig(5, 14, 1, checkpoint_path=path)
-        done = range(1 << 17)
-        self.write(path, cfg, set(done), {2: len(done) * DEFAULT_CHUNK_SIZE}, 2)
-        tracemalloc.start()
-        try:
-            loaded = load_checkpoint(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert loaded.completed_chunks == set(done)
-        assert peak < 20 << 20
+        cfg = SurveyConfig(6, 14, 2, checkpoint_path=path)
+        for cursor in (1 << 20, 15 << 17):
+            self.write(path, cfg, cursor, {2: cursor * DEFAULT_CHUNK_SIZE}, 2)
+            tracemalloc.start()
+            try:
+                loaded = load_checkpoint(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert loaded.next_chunk == cursor
+            assert path.stat().st_size < 1024
+            assert peak < 1 << 20
 
     # json reads each of these, and int() took 4.9 as 4, true as 1 and "02" as 2
     @pytest.mark.parametrize(
@@ -784,13 +818,12 @@ class TestSelfChecks:
     def test_histogram_and_alternating_f_must_be_integers(
         self, tmp_path, histogram, alternating, message
     ):
-        # chunk 0 of (3,6) at chunk size 4 holds class 0, so the checkpoint
-        # names an alternating f exactly when one is given
+        # chunk 0 of (3,6) at chunk size 4 holds class 0 and 4 classes; each
+        # value is refused before the totals are checked
         path = tmp_path / "values.ckpt.json"
         cfg = SurveyConfig(3, 6, 1, chunk_size=4, checkpoint_path=path)
-        done = [0] if alternating is not None else [1]
         path.write_text(json.dumps({
-            "meta": _checkpoint_meta(cfg), "completed_chunks": done,
+            "meta": _checkpoint_meta(cfg), "next_chunk": 1,
             "partial_histogram": histogram, "partial_max": {"alternating_class_f": alternating},
         }))
         with pytest.raises(CorruptCheckpointError, match=rf"values.ckpt.json.*{message}"):
@@ -798,11 +831,12 @@ class TestSelfChecks:
         with pytest.raises(CorruptCheckpointError, match="values.ckpt.json"):
             run_survey(cfg)
 
-    @pytest.mark.parametrize("chunks,hist,alternating", [({0}, {2: 4}, None), ({1}, {2: 4}, 2)])
+    # chunks is the range of chunks done: chunk 0, or none
+    @pytest.mark.parametrize("chunks,hist,alternating", [(range(1), {2: 4}, None), (range(0), {}, 2)])
     def test_alternating_f_must_match_chunk_zero(self, tmp_path, chunks, hist, alternating):
         path = tmp_path / "alt.ckpt.json"
         cfg = SurveyConfig(3, 6, 1, chunk_size=4, checkpoint_path=path)
-        self.write(path, cfg, chunks, hist, alternating)
+        self.write(path, cfg, chunks.stop, hist, alternating)
         with pytest.raises(CorruptCheckpointError, match="alt.ckpt.json.*alternating_class_f"):
             load_checkpoint(path)
 
@@ -860,9 +894,9 @@ class TestSelfChecks:
         )
         path = tmp_path / "synced.ckpt.json"
         cfg = SurveyConfig(3, 5, 1, checkpoint_path=path)
-        save_checkpoint(path, Checkpoint(_checkpoint_meta(cfg), set(), Counter(), None))
+        save_checkpoint(path, Checkpoint(_checkpoint_meta(cfg), 0, Counter(), None))
         assert events == ["fsync", "replace"]
-        assert load_checkpoint(path).completed_chunks == set()
+        assert load_checkpoint(path).next_chunk == 0
 
 
 class TestTravelsSurvey:

@@ -9,8 +9,11 @@ and its mirror c(n-3) is (n-2 n-1) when square (r-1, n-2) is black and
 (n-2 n) when it is white, up to a reorientation of three elements and a
 global sign.  The survey of the whole class space counts one class in 16
 on these facts, and a run counts only its even offsets on the second.
-They are checked here on the chirotope, which the circuits engine does not
-use, and on f class by class.
+Reversing the index bits is the rotation of the matrix by a half turn: it
+maps square (i,j) to (r-i, n-j) and is the relabeling e -> n+1-e, up to a
+reorientation and a global sign; no survey counts on it yet.  They are
+checked here on the chirotope, which the circuits engine does not use, and
+on f class by class.
 """
 
 import random
@@ -29,12 +32,17 @@ from lomlab.survey import _quotient_generators
 
 
 def relabeled(T: ChirotopeTable, a: int, b: int) -> ChirotopeTable:
-    """T relabeled by the transposition (a b): the sign of each basis's image,
-    times the parity of the swaps that sort the image."""
-    swap = {a: b, b: a}
+    """T relabeled by the transposition (a b)."""
+    return permuted(T, {a: b, b: a})
+
+
+def permuted(T: ChirotopeTable, image_of: dict[int, int]) -> ChirotopeTable:
+    """T relabeled by the permutation ``image_of`` (elements it omits are
+    fixed): the sign of each basis's image, times the parity of the swaps
+    that sort the image."""
     signs = []
     for basis in T.bases():
-        image = [swap.get(e, e) for e in basis]
+        image = [image_of.get(e, e) for e in basis]
         inversions = sum(x > y for i, x in enumerate(image) for y in image[i + 1 :])
         signs.append((-1) ** inversions * T.sign(sorted(image)))
     return ChirotopeTable(T.rank, T.ground_size, tuple(signs))
@@ -59,6 +67,12 @@ def chirotope(r: int, n: int, index: int) -> ChirotopeTable:
 def coloring(r: int, n: int, column: int) -> int:
     """The class index with every relevant square of ``column`` black."""
     return sum(1 << bit for bit, (_, j) in enumerate(relevant_squares(r, n)) if j == column)
+
+
+def reversed_bits(r: int, n: int, index: int) -> int:
+    """The class index with its index bits in reverse order."""
+    bits = len(relevant_squares(r, n))
+    return sum(1 << (bits - 1 - b) for b in range(bits) if index >> b & 1)
 
 
 def sampled(r: int, n: int, count: int) -> list[int]:
@@ -151,3 +165,36 @@ def test_quotient_needs_four_colorings_independent_on_the_pivot_bits():
         assert masks == tuple(coloring(r, n, j) for j in (2, 3, n - 3, n - 2)), (r, n)
         bits = (r - 1) * (n - r - 1)
         assert masks[0] == 1 and masks[3] == 1 << (bits - 1), (r, n)
+
+
+@pytest.mark.parametrize("r,n", [(2, 4), (3, 6), (4, 8), (5, 9), (6, 14), (8, 11)])
+def test_reversed_bits_are_the_rotated_squares(r, n):
+    squares = relevant_squares(r, n)
+    assert [(r - i, n - j) for i, j in reversed(squares)] == squares
+    for bit, (i, j) in enumerate(squares):
+        assert reversed_bits(r, n, 1 << bit) == 1 << squares.index((r - i, n - j))
+
+
+@pytest.mark.parametrize("r,n", [(3, 6), (3, 7), (4, 8)])
+def test_reversed_bits_are_the_reversal_of_the_elements(r, n):
+    # the half-turn reverses rows, a global sign, and relabels column e as n+1-e
+    reversal = {e: n + 1 - e for e in range(1, n + 1)}
+    everything = tuple(range(1, n + 1))
+    unrelabeled = []
+    for i in sampled(r, n, 12):
+        chi, rotated = chirotope(r, n, i), chirotope(r, n, reversed_bits(r, n, i))
+        assert reoriented_up_to_sign(permuted(chi, reversal), rotated, everything), i
+        unrelabeled.append(reoriented_up_to_sign(chi, rotated, everything))
+    # the check can fail: without the relabeling most rotated classes are other classes
+    assert not all(unrelabeled)
+
+
+@pytest.mark.parametrize(
+    "r,n,k",
+    [(2, 6, 0), (2, 8, 0), (2, 9, 0), (3, 6, 1), (3, 7, 1), (3, 9, 1), (4, 8, 1), (4, 9, 1), (5, 9, 2)],
+)
+def test_f_is_invariant_under_the_reversal_of_the_bits(r, n, k):
+    total = class_count(r, n)
+    f = [_count_entries(entries, k) for entries in representative_entries(r, n, range(total))]
+    for i in range(total):
+        assert f[reversed_bits(r, n, i)] == f[i], i
