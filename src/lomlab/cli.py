@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import formulas, survey
@@ -69,16 +70,25 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise ValueError(f"--range: expected LO..HI, got {text!r}") from None
 
 
+@contextmanager
+def _naming_matrix(path: str | None):
+    """Prefix a ValueError raised inside with ``--matrix PATH:`` when a path is given."""
+    try:
+        yield
+    except ValueError as exc:
+        if path is None:
+            raise
+        raise ValueError(f"--matrix {path}: {exc}") from None
+
+
 def _load_matrix(args) -> SignMatrix:
     path = Path(args.matrix)
     try:
         text = path.read_text()
     except OSError as exc:
         raise ValueError(f"--matrix: cannot read {path}: {exc.strerror or exc}") from None
-    try:
+    with _naming_matrix(args.matrix):
         A = SignMatrix.parse(text)
-    except ValueError as exc:
-        raise ValueError(f"--matrix: {path}: {exc}") from None
     if getattr(args, "flip_cols", None):
         A = reorient_columns(A, _parse_labels(args.flip_cols, "--flip-cols"))
     if getattr(args, "flip_rows", None):
@@ -96,7 +106,8 @@ def _emit_json(payload: dict) -> None:
 
 def _cmd_travel(args) -> int:
     A = _load_matrix(args)
-    travel = bottom_travel(A) if args.bottom else top_travel(A)
+    with _naming_matrix(args.matrix):
+        travel = bottom_travel(A) if args.bottom else top_travel(A)
     if args.json:
         _emit_json(
             {
@@ -139,13 +150,16 @@ def _cmd_circuits(args) -> int:
 
 
 def _cmd_fcount(args) -> int:
+    if args.k < 0:  # checked first: the error is the flag's, not the matrix's
+        raise ValueError(f"k must be non-negative, got k={args.k}")
     A = _load_matrix(args)
-    if args.engine == "circuits":
-        f = count_k_neighborly_reorientations(A, args.k)
-    elif args.engine == "travels":
-        f = f_via_travels(A, args.k)
-    else:
-        f = count_k_neighborly_reorientations_chirotope(chirotope_from_matrix(A), args.k)
+    with _naming_matrix(args.matrix):
+        if args.engine == "circuits":
+            f = count_k_neighborly_reorientations(A, args.k)
+        elif args.engine == "travels":
+            f = f_via_travels(A, args.k)
+        else:
+            f = count_k_neighborly_reorientations_chirotope(chirotope_from_matrix(A), args.k)
     if args.json:
         _emit_json(
             {
@@ -172,7 +186,8 @@ def _cmd_plain_travels(args) -> int:
             raise ValueError("plain-travels needs either --matrix or --rank and --elements")
         A = None
         r, n = args.rank, args.elements
-    travels_list = enumerate_plain_travels(r, n)
+    with _naming_matrix(args.matrix):
+        travels_list = enumerate_plain_travels(r, n)
     neighborly = None
     if A is not None and args.k is not None:
         neighborly = count_k_neighborly_plain_travels(A, args.k)
@@ -200,7 +215,8 @@ def _cmd_plain_travels(args) -> int:
 
 def _cmd_chessboard(args) -> int:
     A = _load_matrix(args)
-    board = chessboard_of(A)
+    with _naming_matrix(args.matrix):
+        board = chessboard_of(A)
     r, n = A.rows, A.cols
     if args.json:
         payload = {
@@ -436,9 +452,8 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--range",
         help="survey only class indices LO..HI (half-open), counting each class in it; "
-        "without it the circuits engine counts one class in 16 (one in 2 on a few "
-        "small shapes) and scales the histogram to the whole space, so 0..N, N the "
-        "class count, is the full-space check",
+        "without it the circuits engine counts one class in 16 and scales the "
+        "histogram to the whole space, so 0..N, N the class count, is the full-space check",
     )
     p.add_argument("--crosscheck-samples", type=int, default=0,
                    help="verify this many sampled classes against the travels engine first")

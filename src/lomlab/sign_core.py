@@ -620,7 +620,8 @@ def _run_width(r: int, n: int, length: int, low_bits: int = 1) -> int:
     one union per pair at each of the 2^(w-L) counted offsets, L =
     ``low_bits``; of the widths that fit the chunk and row 1, this takes the
     one with the fewest rows.  A run is at least L wide, so that it counts
-    one class in 2^L.
+    one class in 2^L: the width is at most max(L, n-r-1), and a run wider
+    than row 1 counts only its first class.
     """
     def rows(w: int) -> float:
         _, _, groups, pairs = _run_plan(r, n, w, low_bits)
@@ -648,7 +649,7 @@ def violation_counts(
 
     ``entries`` is (B, r, n) int8: the canonical matrix of each run's first
     class, whose index must be a multiple of 2^width, with
-    width <= n - r - 1.  A run counts its offsets whose low
+    width <= max(low_bits, n - r - 1).  A run counts its offsets whose low
     L = min(low_bits, width) bits are clear: the result holds the
     B * 2^(width - L) counts of those classes in index order.  With width 0
     every matrix is its own run and may hold any signs.  Fastest on the

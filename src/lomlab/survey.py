@@ -14,8 +14,8 @@ its workers by spawn or forkserver, one built in each worker.  Its survey
 of the whole class space counts one class in 16: four column colorings
 leave f unchanged, and it counts the one class of each of their cosets
 whose index has bits 0, 1, B-2 and B-1 clear, B the number of index bits.
-Where those colorings are not independent on these bits, on a few small
-shapes, it counts the lower half of the space, one class in 2.
+On the six shapes where those colorings are not independent on these bits,
+each of at most 16 classes, it counts every class, as a range survey does.
 ``_counted`` says which classes a survey counts, and ``_run_chunk``, the
 one loop that counts a chunk with either engine, with or without a table,
 credits each count to the classes it stands for.
@@ -429,6 +429,11 @@ def _chunk_ids(lo: int, hi: int, size: int) -> range:
 # the class, but f needs only some isomorphism for each class:
 # f(i) = f(i ^ c3) = f(i ^ c(n-3)).
 #
+# At w = 1, n = r+2, squares (1,3) and (r-1, n-3) are not relevant: they
+# touch no basis product, so c3 is square (2,3) alone and c(n-3) is square
+# (r-2, r-1) alone, and the argument, which reads only the relevant squares
+# (1,2) and (r-1, n-2) besides them, holds there too.
+#
 # So f is constant on each coset of the group the four colorings span.  When
 # they are independent on the pivot bits 0, 1, B-2 and B-1, each coset holds
 # one class with every pivot bit clear, and the histogram of the space is 16
@@ -446,14 +451,14 @@ def _chunk_ids(lo: int, hi: int, size: int) -> range:
 def _quotient_generators(r: int, n: int) -> tuple[int, int, int, int] | None:
     """(c2, c3, c(n-3), c(n-2)) if a survey of the whole space may count one class in 16.
 
-    It may when chessboard row 1 holds at least two squares and the four
-    colorings are independent on the pivot bits 0, 1, B-2 and B-1 of the
-    B-bit class index; two equal columns among 2, 3, n-3 and n-2 would give
-    equal masks.  Otherwise the result is None.
+    It may when the four colorings are independent on the pivot bits 0, 1,
+    B-2 and B-1 of the B-bit class index, which needs B >= 4; two equal
+    columns among 2, 3, n-3 and n-2 would give equal masks.  Otherwise, at
+    (2,4), (2,5), (2,6), (3,5), (3,6) and (4,6), the result is None.
     """
-    if n - r - 1 < 2:
-        return None
     squares = relevant_squares(r, n)
+    if len(squares) < 4:
+        return None
     masks = tuple(
         sum(1 << bit for bit, (_, j) in enumerate(squares) if j == column)
         for column in (2, 3, n - 3, n - 2)
@@ -472,22 +477,19 @@ def _counted(cfg: SurveyConfig) -> tuple[int, int, int, int]:
     survey's histogram is the credited one times the classes of its bounds
     over end - first.  A circuits survey of the whole space counts the
     prefix [0, N/4) with L = 2 where ``_quotient_generators`` allows it,
-    one class in 16 standing for its coset: quotient 16.  Otherwise it
-    counts its lower half with L = 1, as f(i) = f(i ^ 2^(B-1)): quotient 2.
-    Every other survey, quotient 1, counts each class in its bounds for
-    itself: every ``index_range`` with L = 1, which is exact as
-    f(i) = f(i ^ 1), so that a range of the whole space is the full-space
-    check, and the travels engine with L = 0, so that it stays an
-    independent check.  Checkpoints record the quotient.
+    one class in 16 standing for its coset: quotient 16.  Every other
+    survey, quotient 1, counts each class in its bounds for itself: the
+    circuits engine with L = 1 (L = 0 on the one class of n = r+1), which
+    is exact as f(i) = f(i ^ 1), so that a range of the whole space is the
+    full-space check, and the travels engine with L = 0, so that it stays
+    an independent check.  Checkpoints record the quotient.
     """
     lo, hi = cfg.bounds()
     if cfg.engine != "circuits":
         return 1, 0, lo, hi
-    if cfg.index_range is not None or hi == 1:
-        return 1, min(1, cfg.elements - cfg.rank - 1), lo, hi
-    if _quotient_generators(cfg.rank, cfg.elements) is not None:
+    if cfg.index_range is None and _quotient_generators(cfg.rank, cfg.elements) is not None:
         return 16, 2, lo, hi // 4
-    return 2, 1, lo, hi // 2
+    return 1, min(1, cfg.elements - cfg.rank - 1), lo, hi
 
 
 def _chunk_jobs(cfg: SurveyConfig, next_chunk: int) -> list[tuple[range, int, int]]:

@@ -368,15 +368,39 @@ class TestErrorHandling:
             assert code == 1 and out == ""
             assert "samples must be non-negative, got -1" in err
 
-    def test_negative_k_names_the_value(self, capsys):
-        for engine in ("circuits", "travels", "chirotope"):
-            code, out, err = run_cli(
-                capsys,
-                "fcount", "--matrix", str(DATA / "all_plus_3x5.txt"), "--k", "-1",
-                "--engine", engine,
-            )
-            assert code == 1 and out == "", engine
-            assert "k must be non-negative, got k=-1" in err, engine
+    def test_negative_k_names_the_value(self, capsys, tmp_path):
+        # the flag's error alone, also on a matrix too small to count
+        square = tmp_path / "square.txt"
+        square.write_text("++\n+-\n")
+        for matrix in (DATA / "all_plus_3x5.txt", square):
+            for engine in ("circuits", "travels", "chirotope"):
+                code, out, err = run_cli(
+                    capsys, "fcount", "--matrix", str(matrix), "--k", "-1", "--engine", engine
+                )
+                assert code == 1 and out == "", engine
+                assert err == "error: k must be non-negative, got k=-1\n", (matrix, engine)
+
+    def test_matrix_shape_errors_name_the_file(self, capsys, tmp_path):
+        square, single, row = tmp_path / "square.txt", tmp_path / "single.txt", tmp_path / "row.txt"
+        square.write_text("++\n+-\n")
+        single.write_text("+\n")
+        row.write_text("+++\n")
+        cases = [
+            *(
+                (("fcount", "--matrix", str(square), "--k", "1", "--engine", engine), square, "n >= r+1")
+                for engine in ("circuits", "travels", "chirotope")
+            ),
+            (("travel", "--matrix", str(single)), single, "at least 2 columns"),
+            (("plain-travels", "--matrix", str(row)), row, "2 <= r <= n"),
+            (("chessboard", "--matrix", str(row)), row, "at least a 2x2 matrix"),
+        ]
+        for argv, path, problem in cases:
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1 and out == "", argv
+            assert err.startswith(f"error: --matrix {path}: ") and problem in err, (argv, err)
+        # without a matrix, the same shape error names none
+        code, out, err = run_cli(capsys, "plain-travels", "--rank", "1", "--elements", "3")
+        assert (code, out) == (1, "") and "--matrix" not in err and "2 <= r <= n" in err
 
     def test_plain_travels_k_needs_a_matrix(self, capsys):
         code, out, err = run_cli(

@@ -3,9 +3,11 @@
 ``golden/surveys.json`` holds the JSON of a set of surveys, less
 ``elapsed_seconds``: the fast presets, the prefix of (7,11,2) at several
 chunk sizes, ranges cut in the middle of a run of chessboard row 1, travels
-surveys, class-by-class surveys (``TABLE_MAX_BYTES = 0``) and the shapes
-whose whole space falls back to counting its lower half.  Any change to how
-a survey chunks, counts or credits its classes must leave these bytes as
+surveys, class-by-class surveys (``TABLE_MAX_BYTES = 0``) and the
+``-fallback`` cases, whole spaces that were once counted by their lower half:
+(3,6), one of the six shapes that count every class, and (11,13), which
+counts one class in 16 with runs wider than chessboard row 1.  Any change to
+how a survey chunks, counts or credits its classes must leave these bytes as
 they are.  Regenerate the file only from code whose results are trusted:
 
     PYTHONPATH=src python tests/test_golden_surveys.py

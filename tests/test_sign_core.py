@@ -784,6 +784,18 @@ class TestFirstRowRuns:
             got = violation_counts(table, firsts, width, low_bits=2)
             assert got.tolist() == want[:: 1 << min(2, width)], width
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_run_wider_than_row_one_counts_its_first_class(self, k):
+        # at n = r+2 row 1 is one square long, and the runs of a survey that
+        # counts one class in 16 are L = 2 wide: each counts its first class
+        r, n = 5, 7
+        assert sign_core._run_width(r, n, 1 << 10, low_bits=2) == 2
+        firsts = range(0, class_count(r, n), 4)
+        want = [count_k_neighborly_reorientations(representative_of_index(r, n, i), k) for i in firsts]
+        table = violation_table(r, n, k)
+        got = violation_counts(table, representative_entries(r, n, firsts), width=2, low_bits=2)
+        assert got.tolist() == want
+
     def test_run_in_the_middle_of_the_space(self):
         # runs need only be aligned, not start at class 0
         r, n, k = 5, 10, 2

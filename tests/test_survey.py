@@ -98,12 +98,12 @@ class TestRunSurvey:
         assert pools == [2, 2]  # chunk size 64 leaves one chunk, counted in-process
 
     def test_pool_starts_no_more_workers_than_batches(self, pools):
-        # the lower half of the 16 classes is two chunks of 4
+        # (3,6) counts each of its 16 classes, in four chunks of 4
         cfg = SurveyConfig(3, 6, 1, threads=8, chunk_size=4)
-        assert len(_chunk_jobs(cfg, 0)) == 2
+        assert len(_chunk_jobs(cfg, 0)) == 4
         base = result_fingerprint(run_survey(SurveyConfig(3, 6, 1)))
         assert result_fingerprint(run_survey(cfg)) == base
-        assert pools == [2]
+        assert pools == [4]
 
     def test_travels_engine_agrees(self):
         by_circuits = run_survey(SurveyConfig(3, 6, 1))
@@ -155,19 +155,20 @@ class TestQuotient:
     """A circuits survey of the whole space counts the prefix [0, N/4),
     crediting class i with f(i & ~3), and takes the histogram 4 times: one
     class in 16 stands for its coset under the colorings of columns 2, 3,
-    n-3 and n-2.  Where those are not independent on the pivot bits it
-    counts the lower half and doubles the histogram.  A range survey, even
-    of the whole space, and a travels survey count every class."""
+    n-3 and n-2.  On the six shapes where those are not independent on the
+    pivot bits, it counts every class, as a range survey, even of the whole
+    space, and a travels survey do."""
 
-    # the first five count one class in 16, the last three one in 2
+    # the first eight count one class in 16, the last two every class
     @pytest.mark.parametrize(
         "r,n,k",
-        [(2, 9, 0), (3, 7, 1), (4, 8, 1), (5, 9, 2), (6, 10, 2), (3, 6, 1), (2, 6, 0), (6, 8, 2)],
+        [(2, 9, 0), (3, 7, 1), (4, 8, 1), (5, 9, 2), (6, 10, 2), (6, 8, 2), (5, 7, 1), (11, 13, 2),
+         (3, 6, 1), (2, 6, 0)],
     )
     def test_matches_the_range_of_the_whole_space(self, counted, r, n, k):
         classes = class_count(r, n)
-        prefix = classes // 4 if _quotient_generators(r, n) else classes // 2
-        assert (_quotient_generators(r, n) is None) == ((r, n) in [(3, 6), (2, 6), (6, 8)])
+        prefix = classes // 4 if _quotient_generators(r, n) else classes
+        assert (_quotient_generators(r, n) is None) == ((r, n) in [(3, 6), (2, 6)])
         quotiented = run_survey(SurveyConfig(r, n, k))
         assert sorted(counted) == list(range(prefix))
         counted.clear()
@@ -177,12 +178,21 @@ class TestQuotient:
         assert whole_space_json(quotiented) == whole_space_json(ranged)
 
     @pytest.mark.parametrize("chunk_size", [7, 1000, DEFAULT_CHUNK_SIZE])
-    def test_counts_the_lower_half_at_any_chunk_size(self, counted, chunk_size):
-        # where c3 and c(n-3) cannot join the quotient, at n = r+2, the lower
-        # half; 1000 and 7 do not divide the 512 classes of the lower half of (11,13)
-        assert _quotient_generators(11, 13) is None
+    def test_counts_the_prefix_at_n_equal_r_plus_2(self, counted, monkeypatch, chunk_size):
+        # at n = r+2 row 1 is one square long, and c3 and c(n-3) are squares
+        # (2,3) and (r-2, r-1) alone; 1000 and 7 do not divide the 256
+        # classes of the prefix of (11,13), which is counted class by class,
+        # the first class of each run of 4
+        assert _quotient_generators(11, 13) is not None
+        evaluated = set()
+        real = survey_module._representative_entries
+        monkeypatch.setattr(
+            survey_module, "_representative_entries",
+            lambda r, n, index: (evaluated.add(index), real(r, n, index))[1],
+        )
         result = run_survey(SurveyConfig(11, 13, 2, chunk_size=chunk_size))
-        assert sorted(counted) == list(range(512))
+        assert sorted(counted) == list(range(256))
+        assert evaluated == set(range(0, 256, 4))
         assert result.surveyed == sum(result.histogram.values()) == 1024
 
     @pytest.mark.skipif(
@@ -383,7 +393,7 @@ class TestCheckpointing:
         cfg = SurveyConfig(3, 6, 1, chunk_size=4, checkpoint_path=path)
 
         # simulate an interrupted run: only chunk 0 finished ((3,6) counts
-        # the lower half: c3 and c(n-3) are one coloring)
+        # every class: c3 and c(n-3) are one coloring)
         hist, alternating = _run_chunk(cfg, None, 0, 4)
         partial = Checkpoint(_checkpoint_meta(cfg), 1, Counter(hist), alternating)
         save_checkpoint(path, partial)
@@ -392,11 +402,11 @@ class TestCheckpointing:
         direct = run_survey(SurveyConfig(3, 6, 1, chunk_size=4))
         assert result_fingerprint(resumed) == result_fingerprint(direct)
 
-        # the checkpoint on disk now covers both chunks of the lower half,
-        # each of its 8 classes counted once
+        # the checkpoint on disk now covers all four chunks, each of the 16
+        # classes counted once
         final = load_checkpoint(path)
-        assert final.next_chunk == 2
-        assert sum(final.partial_histogram.values()) == 8
+        assert final.next_chunk == 4
+        assert sum(final.partial_histogram.values()) == 16
 
     def test_checkpoint_write_is_idempotent_when_complete(self, tmp_path):
         path = tmp_path / "done.ckpt.json"
@@ -519,25 +529,34 @@ class TestCheckpointing:
             "whole": SurveyConfig(4, 8, 1, chunk_size=16),
             "range": SurveyConfig(4, 8, 1, chunk_size=16, index_range=(0, 512)),
             "travels": SurveyConfig(4, 8, 1, chunk_size=16, engine="travels"),
+            "n=r+2": SurveyConfig(11, 13, 2, chunk_size=16),
+            "tiny": SurveyConfig(3, 6, 1, chunk_size=4),
         }.items():
             path = tmp_path / f"{name}.ckpt.json"
             run_survey(dataclasses.replace(cfg, checkpoint_path=path))
             metas[name] = json.loads(path.read_text())["meta"]
         assert (metas["whole"]["quotient"], metas["whole"]["range"]) == (16, [0, 128])
+        assert (metas["n=r+2"]["quotient"], metas["n=r+2"]["range"]) == (16, [0, 256])
         for name in ("range", "travels"):
             assert "quotient" not in metas[name] and metas[name]["range"] == [0, 512]
+        # one of the six shapes that count every class
+        assert "quotient" not in metas["tiny"] and metas["tiny"]["range"] == [0, 16]
 
     def test_quotient_two_checkpoint_refused(self, tmp_path):
-        # chunk 0 of the lower half of (4,8), as whole-space surveys counted
-        # it before they counted one class in 16
-        path = tmp_path / "half.ckpt.json"
-        cfg = SurveyConfig(4, 8, 1, chunk_size=16, checkpoint_path=path)
-        meta = dict(_checkpoint_meta(cfg), quotient=2, range=[0, 256])
-        hist, alternating = _run_chunk(SurveyConfig(4, 8, 1, index_range=(0, 16)), None, 0, 16)
-        save_checkpoint(path, Checkpoint(meta, 1, hist, alternating))
-        assert load_checkpoint(path).meta == meta
-        with pytest.raises(CheckpointMismatchError, match="half.ckpt.json"):
-            run_survey(cfg)
+        # chunk 0 of the lower half of the space, as whole-space surveys
+        # counted (4,8) before they counted one class in 16, (11,13) before
+        # n = r+2 did too, and (3,6) before it counted every class
+        for r, n, k in [(4, 8, 1), (11, 13, 2), (3, 6, 1)]:
+            path = tmp_path / f"half{n}.ckpt.json"
+            cfg = SurveyConfig(r, n, k, chunk_size=16, checkpoint_path=path)
+            half = class_count(r, n) // 2
+            meta = dict(_checkpoint_meta(cfg), quotient=2, range=[0, half])
+            first = SurveyConfig(r, n, k, index_range=(0, min(16, half)))
+            hist, alternating = _run_chunk(first, None, 0, min(16, half))
+            save_checkpoint(path, Checkpoint(meta, 1, hist, alternating))
+            assert load_checkpoint(path).meta == meta
+            with pytest.raises(CheckpointMismatchError, match=f"half{n}.ckpt.json"):
+                run_survey(cfg)
 
 
 class TestVerifyCase:
@@ -726,13 +745,13 @@ class TestSelfChecks:
         self.write(path, cfg, cursor, {2: classes} if classes else {}, None)
         assert load_checkpoint(path).next_chunk == cursor
 
-    def test_chunk_id_past_the_lower_half_refused(self, tmp_path):
-        # the 16 classes of (3,6) at chunk size 4: the lower half is chunks 0
-        # and 1, so the cursor is at most 2
+    def test_chunk_id_past_the_last_chunk_refused(self, tmp_path):
+        # the 16 classes of (3,6) at chunk size 4, each counted, are chunks 0
+        # to 3, so the cursor is at most 4
         path = tmp_path / "past.ckpt.json"
         cfg = SurveyConfig(3, 6, 1, chunk_size=4, checkpoint_path=path)
-        self.write(path, cfg, 3, {2: 8}, 2)
-        with pytest.raises(CorruptCheckpointError, match=r"past.ckpt.json.*next_chunk 3 .*\[0,2\]"):
+        self.write(path, cfg, 5, {2: 16}, 2)
+        with pytest.raises(CorruptCheckpointError, match=r"past.ckpt.json.*next_chunk 5 .*\[0,4\]"):
             load_checkpoint(path)
 
     def test_checkpoint_directory_checked_before_counting(self, tmp_path, monkeypatch):
@@ -854,8 +873,11 @@ class TestSelfChecks:
             return real(cfg, table, lo, hi - 1)
 
         monkeypatch.setattr(survey_module, "_run_chunk", lose_a_class)
-        # the whole-space survey doubles its count of the lower half, and so the loss
-        with pytest.raises(RuntimeError, match="counts 14 classes of 16"):
+        # the whole-space survey of (3,7) takes its count of the prefix 4
+        # times, and so the loss; (3,6) counts every class
+        with pytest.raises(RuntimeError, match="counts 60 classes of 64"):
+            run_survey(SurveyConfig(3, 7, 1))
+        with pytest.raises(RuntimeError, match="counts 15 classes of 16"):
             run_survey(SurveyConfig(3, 6, 1))
         with pytest.raises(RuntimeError, match="counts 15 classes of 16"):
             run_survey(SurveyConfig(3, 6, 1, index_range=(0, 16)))
@@ -908,8 +930,8 @@ class TestTravelsSurvey:
         del d["engine"], d["elapsed_seconds"]
         return d
 
-    # the circuits engine counts the lower half and doubles it; the travels
-    # engine counts every class
+    # the circuits engine counts one class in 16 and scales its histogram to
+    # the whole space; the travels engine counts every class
     @pytest.mark.parametrize("r,n,k", [(4, 8, 1), (5, 8, 2), (3, 7, 1)])
     def test_matches_circuits(self, r, n, k):
         by_travels = self.payload(SurveyConfig(r, n, k, engine="travels"))

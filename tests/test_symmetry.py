@@ -7,8 +7,11 @@ reorientation of the transposed pair and a global sign.  c3 is the
 transposition (2 3) when square (1,2) is black and (1 3) when it is white,
 and its mirror c(n-3) is (n-2 n-1) when square (r-1, n-2) is black and
 (n-2 n) when it is white, up to a reorientation of three elements and a
-global sign.  The survey of the whole class space counts one class in 16
-on these facts, and a run counts only its even offsets on the second.
+global sign; at n = r+2, where squares (1,3) and (r-1, n-3) are not
+relevant, c3 is square (2,3) alone and c(n-3) square (r-2, r-1) alone.
+The survey of the whole class space counts one class in 16 on these facts
+wherever the four colorings are independent on index bits 0, 1, B-2 and
+B-1, and a run counts only its even offsets on the second.
 Reversing the index bits is the rotation of the matrix by a half turn: it
 maps square (i,j) to (r-i, n-j) and is the relabeling e -> n+1-e, up to a
 reorientation and a global sign; no survey counts on it yet.  They are
@@ -113,8 +116,12 @@ def test_f_is_invariant_under_both_bits(r, n, k):
         assert f[i] == f[i ^ 1] == f[i ^ (total // 2)], i
 
 
-# r = 2 has no row 2, and at (3,6) columns 3 and n-3 are one column
-@pytest.mark.parametrize("r,n", [(2, 7), (3, 6), (3, 7), (4, 8), (5, 9), (6, 10), (8, 11), (8, 12)])
+# r = 2 has no row 2, at (3,6) columns 3 and n-3 are one column, and at
+# n = r+2 each of c3 and c(n-3) is one square
+@pytest.mark.parametrize(
+    "r,n",
+    [(2, 7), (3, 6), (3, 7), (4, 8), (5, 7), (5, 9), (6, 8), (6, 10), (7, 9), (8, 11), (8, 12)],
+)
 def test_columns_three_and_n_minus_three_are_relabelings(r, n):
     top = class_count(r, n) // 2  # square (r-1, n-2)
     three, mirror = coloring(r, n, 3), coloring(r, n, n - 3)
@@ -144,7 +151,8 @@ def test_swapping_black_and_white_fails(r, n):
 
 @pytest.mark.parametrize(
     "r,n,k",
-    [(2, 6, 0), (2, 8, 0), (2, 9, 0), (3, 6, 1), (3, 7, 1), (3, 9, 1), (4, 8, 1), (4, 9, 1), (5, 9, 2)],
+    [(2, 6, 0), (2, 8, 0), (2, 9, 0), (3, 6, 1), (3, 7, 1), (3, 9, 1), (4, 8, 1), (4, 9, 1), (5, 9, 2),
+     (5, 7, 1), (6, 8, 2), (7, 9, 3)],
 )
 def test_f_is_invariant_under_the_four_colorings(r, n, k):
     total = class_count(r, n)
@@ -155,16 +163,19 @@ def test_f_is_invariant_under_the_four_colorings(r, n, k):
 
 
 def test_quotient_needs_four_colorings_independent_on_the_pivot_bits():
-    # (3,6): c3 = c(n-3); (2,6): three index bits; n = r+2: no square (1,3)
-    for r, n in [(3, 6), (2, 6), (2, 5), *((r, r + 2) for r in range(2, 12))]:
-        assert _quotient_generators(r, n) is None, (r, n)
-    shapes = [(2, 7), (2, 8), (3, 7), (3, 9), (4, 7), (4, 10), (5, 9), (5, 11), (6, 10),
-              (7, 11), (8, 11), (8, 12), (9, 13), (5, 14), (6, 14), (10, 14)]
-    for r, n in shapes:
-        masks = _quotient_generators(r, n)
-        assert masks == tuple(coloring(r, n, j) for j in (2, 3, n - 3, n - 2)), (r, n)
-        bits = (r - 1) * (n - r - 1)
-        assert masks[0] == 1 and masks[3] == 1 << (bits - 1), (r, n)
+    # fewer than four index bits at (2,4), (2,5), (2,6), (3,5) and (4,6), and
+    # c3 = c(n-3) at (3,6)
+    refused = {(2, 4), (2, 5), (2, 6), (3, 5), (3, 6), (4, 6)}
+    for r in range(2, 23):
+        for n in range(r + 2, 25):
+            masks = _quotient_generators(r, n)
+            assert (masks is None) == ((r, n) in refused), (r, n)
+            if masks is None:
+                continue
+            assert masks == tuple(coloring(r, n, j) for j in (2, 3, n - 3, n - 2)), (r, n)
+            bits = (r - 1) * (n - r - 1)
+            assert masks[0] == 1 and masks[3] == 1 << (bits - 1), (r, n)
+    assert all(class_count(r, n) <= 16 for r, n in refused)
 
 
 @pytest.mark.parametrize("r,n", [(2, 4), (3, 6), (4, 8), (5, 9), (6, 14), (8, 11)])
