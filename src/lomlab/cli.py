@@ -6,6 +6,10 @@ class representatives, formula evaluation, per-class surveys, preset
 verification, and engine cross-checks.  Every subcommand accepts ``--json``
 for stable machine-readable output.  Exit codes: 0 success, 1 usage or I/O
 error, 2 verification failure.
+
+Each ``_cmd_*`` handler returns ``(payload, lines, code)``: the dict emitted
+under ``--json``, the lines printed otherwise, and the exit code.  ``main``
+alone prints one of the two and returns the code.
 """
 
 from __future__ import annotations
@@ -55,11 +59,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _parse_labels(text: str, flag: str) -> list[int]:
+def _parse_labels(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part != ""]
     except ValueError:
-        raise ValueError(f"{flag}: expected comma-separated integers, got {text!r}") from None
+        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -89,167 +93,153 @@ def _load_matrix(args) -> SignMatrix:
         raise ValueError(f"--matrix: cannot read {path}: {exc.strerror or exc}") from None
     with _naming_matrix(args.matrix):
         A = SignMatrix.parse(text)
-    if getattr(args, "flip_cols", None):
-        A = reorient_columns(A, _parse_labels(args.flip_cols, "--flip-cols"))
-    if getattr(args, "flip_rows", None):
-        A = reorient_rows(A, _parse_labels(args.flip_rows, "--flip-rows"))
+    for flag, labels, reorient in (
+        ("--flip-cols", args.flip_cols, reorient_columns),
+        ("--flip-rows", args.flip_rows, reorient_rows),
+    ):
+        if labels:
+            try:
+                A = reorient(A, _parse_labels(labels))
+            except ValueError as exc:
+                raise ValueError(f"{flag}: {exc}") from None
     return A
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+def _chirotope_count(A: SignMatrix, k: int) -> int:
+    return count_k_neighborly_reorientations_chirotope(chirotope_from_matrix(A), k)
+
+
+# fcount --engine: name -> f(A, k)
+_FCOUNT_ENGINES = {
+    "circuits": count_k_neighborly_reorientations,
+    "travels": f_via_travels,
+    "chirotope": _chirotope_count,
+}
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-def _cmd_travel(args) -> int:
+def _cmd_travel(args):
     A = _load_matrix(args)
     with _naming_matrix(args.matrix):
         travel = bottom_travel(A) if args.bottom else top_travel(A)
-    if args.json:
-        _emit_json(
-            {
-                "kind": travel.kind,
-                "path": [
-                    {"row": i, "col": j, "sign": "+" if A.sign(i, j) > 0 else "-"}
-                    for i, j in travel.path
-                ],
-                "drop_columns": list(travel.drop_columns),
-                "positive": travel.positive,
-            }
-        )
-        return 0
-    for i, j in travel.path:
-        print(f"({i},{j})={'+' if A.sign(i, j) > 0 else '-'}")
-    print(f"positive: {'yes' if travel.positive else 'no'}")
-    return 0
+    payload = {
+        "kind": travel.kind,
+        "path": [
+            {"row": i, "col": j, "sign": "+" if A.sign(i, j) > 0 else "-"}
+            for i, j in travel.path
+        ],
+        "drop_columns": list(travel.drop_columns),
+        "positive": travel.positive,
+    }
+    lines = [f"({step['row']},{step['col']})={step['sign']}" for step in payload["path"]]
+    lines.append(f"positive: {'yes' if travel.positive else 'no'}")
+    return payload, lines, 0
 
 
-def _cmd_circuits(args) -> int:
+def _cmd_circuits(args):
     A = _load_matrix(args)
     circuits = all_circuits(A)
-    if args.json:
-        _emit_json(
-            {
-                "rank": A.rows,
-                "elements": A.cols,
-                "count": len(circuits),
-                "circuits": [
-                    {"support": list(c.support), "signs": list(c.signs)}
-                    for c in circuits
-                ],
-            }
-        )
-        return 0
-    for c in circuits:
-        print(" ".join(f"{'+' if s > 0 else '-'}{e}" for e, s in zip(c.support, c.signs)))
-    print(f"count: {len(circuits)}")
-    return 0
+    payload = {
+        "rank": A.rows,
+        "elements": A.cols,
+        "count": len(circuits),
+        "circuits": [
+            {"support": list(c.support), "signs": list(c.signs)}
+            for c in circuits
+        ],
+    }
+    lines = [
+        " ".join(f"{'+' if s > 0 else '-'}{e}" for e, s in zip(c.support, c.signs))
+        for c in circuits
+    ]
+    lines.append(f"count: {len(circuits)}")
+    return payload, lines, 0
 
 
-def _cmd_fcount(args) -> int:
+def _cmd_fcount(args):
     if args.k < 0:  # checked first: the error is the flag's, not the matrix's
         raise ValueError(f"k must be non-negative, got k={args.k}")
     A = _load_matrix(args)
     with _naming_matrix(args.matrix):
-        if args.engine == "circuits":
-            f = count_k_neighborly_reorientations(A, args.k)
-        elif args.engine == "travels":
-            f = f_via_travels(A, args.k)
-        else:
-            f = count_k_neighborly_reorientations_chirotope(chirotope_from_matrix(A), args.k)
-    if args.json:
-        _emit_json(
-            {
-                "rank": A.rows,
-                "elements": A.cols,
-                "k": args.k,
-                "engine": args.engine,
-                "f": f,
-            }
-        )
-        return 0
-    print(f"f = {f}")
-    return 0
+        f = _FCOUNT_ENGINES[args.engine](A, args.k)
+    payload = {
+        "rank": A.rows,
+        "elements": A.cols,
+        "k": args.k,
+        "engine": args.engine,
+        "f": f,
+    }
+    return payload, [f"f = {f}"], 0
 
 
-def _cmd_plain_travels(args) -> int:
-    if args.k is not None and args.matrix is None:
-        raise ValueError("plain-travels --k needs --matrix, the matrix whose travels it counts")
-    if args.matrix is not None:
-        A = _load_matrix(args)
-        r, n = A.rows, A.cols
-    else:
+def _cmd_plain_travels(args):
+    if args.matrix is None:
+        if args.k is not None:
+            raise ValueError("plain-travels --k needs --matrix, the matrix whose travels it counts")
         if args.rank is None or args.elements is None:
             raise ValueError("plain-travels needs either --matrix or --rank and --elements")
         A = None
         r, n = args.rank, args.elements
+    else:
+        if args.rank is not None or args.elements is not None:
+            raise ValueError("plain-travels takes --matrix or --rank and --elements, not both")
+        A = _load_matrix(args)
+        r, n = A.rows, A.cols
     with _naming_matrix(args.matrix):
         travels_list = enumerate_plain_travels(r, n)
-    neighborly = None
-    if A is not None and args.k is not None:
+    payload = {
+        "rank": r,
+        "elements": n,
+        "total": len(travels_list),
+        "travels": [list(t.drop_columns) for t in travels_list],
+    }
+    lines = [
+        "drops: " + (",".join(map(str, t.drop_columns)) if t.drop_columns else "(none)")
+        for t in travels_list
+    ]
+    lines.append(f"total: {len(travels_list)}")
+    if args.k is not None:  # refused above without a matrix
         neighborly = count_k_neighborly_plain_travels(A, args.k)
-    if args.json:
-        payload = {
-            "rank": r,
-            "elements": n,
-            "total": len(travels_list),
-            "travels": [list(t.drop_columns) for t in travels_list],
-        }
-        if neighborly is not None:
-            payload["k"] = args.k
-            payload["k_neighborly"] = neighborly
-            payload["f"] = 2 * neighborly
-        _emit_json(payload)
-        return 0
-    for t in travels_list:
-        print("drops: " + (",".join(map(str, t.drop_columns)) if t.drop_columns else "(none)"))
-    print(f"total: {len(travels_list)}")
-    if neighborly is not None:
-        print(f"k_neighborly: {neighborly}")
-        print(f"f = {2 * neighborly}")
-    return 0
+        payload["k"] = args.k
+        payload["k_neighborly"] = neighborly
+        payload["f"] = 2 * neighborly
+        lines.append(f"k_neighborly: {neighborly}")
+        lines.append(f"f = {2 * neighborly}")
+    return payload, lines, 0
 
 
-def _cmd_chessboard(args) -> int:
+def _cmd_chessboard(args):
     A = _load_matrix(args)
     with _naming_matrix(args.matrix):
         board = chessboard_of(A)
     r, n = A.rows, A.cols
-    if args.json:
-        payload = {
-            "rank": r,
-            "elements": n,
-            "board": render_board(board, r, n).splitlines(),
-        }
-        if n >= r + 1:
-            payload["relevant_squares"] = [list(sq) for sq in relevant_squares(r, n)]
-            payload["index"] = index_of_chessboard(board, r, n)
-        _emit_json(payload)
-        return 0
-    print(render_board(board, r, n))
-    return 0
+    text = render_board(board, r, n)
+    payload = {
+        "rank": r,
+        "elements": n,
+        "board": text.splitlines(),
+    }
+    if n >= r + 1:
+        payload["relevant_squares"] = [list(sq) for sq in relevant_squares(r, n)]
+        payload["index"] = index_of_chessboard(board, r, n)
+    return payload, [text], 0
 
 
-def _cmd_representative(args) -> int:
+def _cmd_representative(args):
     A = representative_of_index(args.rank, args.elements, args.index)
-    if args.json:
-        _emit_json(
-            {
-                "rank": args.rank,
-                "elements": args.elements,
-                "index": args.index,
-                "matrix": A.format().splitlines(),
-            }
-        )
-        return 0
-    print(A.format())
-    return 0
+    payload = {
+        "rank": args.rank,
+        "elements": args.elements,
+        "index": args.index,
+        "matrix": A.format().splitlines(),
+    }
+    return payload, [A.format()], 0
 
 
-def _cmd_formulas(args) -> int:
+def _cmd_formulas(args):
     r, n, k = args.rank, args.elements, args.k
     c = formulas.c_value(r, n, k)
     travels_total = formulas.total_plain_travels(r, n)
@@ -260,32 +250,30 @@ def _cmd_formulas(args) -> int:
     asymptotic = None
     if k >= 1 and r >= 2 * k + 2:
         asymptotic = formulas.asymptotic_bound(r, n, k)
-    if args.json:
-        _emit_json(
-            {
-                "rank": r,
-                "elements": n,
-                "k": k,
-                "c_value": c.value,
-                "c_source": c.source,
-                "total_plain_travels": travels_total,
-                "class_count": classes,
-                "lom_upper_bound": bound,
-                "asymptotic_bound": str(asymptotic) if asymptotic is not None else None,
-            }
-        )
-        return 0
-    print(f"c = {c.value} ({c.source})")
-    print(f"total_plain_travels = {travels_total}")
-    print(f"class_count = {classes}")
+    payload = {
+        "rank": r,
+        "elements": n,
+        "k": k,
+        "c_value": c.value,
+        "c_source": c.source,
+        "total_plain_travels": travels_total,
+        "class_count": classes,
+        "lom_upper_bound": bound,
+        "asymptotic_bound": str(asymptotic) if asymptotic is not None else None,
+    }
+    lines = [
+        f"c = {c.value} ({c.source})",
+        f"total_plain_travels = {travels_total}",
+        f"class_count = {classes}",
+    ]
     if bound is not None:
-        print(f"lom_upper_bound = {bound}")
+        lines.append(f"lom_upper_bound = {bound}")
     if asymptotic is not None:
-        print(f"F = {str(asymptotic)}")
-    return 0
+        lines.append(f"F = {str(asymptotic)}")
+    return payload, lines, 0
 
 
-def _cmd_survey(args) -> int:
+def _cmd_survey(args):
     # checked before counting, so that a long survey's result is not lost
     if args.out and Path(args.out).is_dir():
         raise ValueError(f"--out: cannot write {args.out}: it is a directory")
@@ -308,146 +296,130 @@ def _cmd_survey(args) -> int:
     payload = result.to_json_dict()
     if args.out:
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-    if args.json:
-        _emit_json(payload)
-        return 0
-    print(f"rank {result.rank}, elements {result.elements}, k {result.k}, engine {result.engine}")
-    print(f"classes: {result.class_count} (surveyed {result.surveyed})")
-    print(f"c = {result.c.value} ({result.c.source})")
-    print(f"max_f = {result.max_f}")
-    print(
+    lines = [
+        f"rank {result.rank}, elements {result.elements}, k {result.k}, engine {result.engine}",
+        f"classes: {result.class_count} (surveyed {result.surveyed})",
+        f"c = {result.c.value} ({result.c.source})",
+        f"max_f = {result.max_f}",
         f"maximizers: {result.maximizer_count_total} total, "
-        f"{result.maximizer_count_excluding_alternating} excluding the alternating class"
-    )
-    print(f"f(alternating class) = {result.alternating_class_f}")
-    print(f"distinct f values: {len(result.histogram)}")
-    print(f"elapsed: {result.elapsed_seconds:.3f}s")
+        f"{result.maximizer_count_excluding_alternating} excluding the alternating class",
+        f"f(alternating class) = {result.alternating_class_f}",
+        f"distinct f values: {len(result.histogram)}",
+        f"elapsed: {result.elapsed_seconds:.3f}s",
+    ]
     if args.out:
-        print(f"result written to {args.out}")
-    return 0
+        lines.append(f"result written to {args.out}")
+    return payload, lines, 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     report = survey.verify_case(
         args.case,
         threads=args.threads,
         chunk_size=args.chunk_size,
         checkpoint_path=args.checkpoint,
     )
-    if args.json:
-        _emit_json(report.to_json_dict())
-    else:
-        print(f"case {report.case} (rank {report.result.rank}, "
-              f"elements {report.result.elements}, k {report.result.k})")
-        for line in report.lines():
-            print(line)
-        print(f"result: {'PASS' if report.passed else 'FAIL'}")
-    return 0 if report.passed else 2
+    lines = [
+        f"case {report.case} (rank {report.result.rank}, "
+        f"elements {report.result.elements}, k {report.result.k})",
+        *report.lines(),
+        f"result: {'PASS' if report.passed else 'FAIL'}",
+    ]
+    return report.to_json_dict(), lines, 0 if report.passed else 2
 
 
-def _cmd_crosscheck(args) -> int:
-    if args.minors:
-        report = survey.minor_recursion_check(
-            args.rank, args.elements, args.k, args.samples, args.seed
-        )
-        issues = report.violations
-        label, plural = "violation", "violations"
-    else:
-        report = survey.engine_crosscheck(
-            args.rank, args.elements, args.k, args.samples, args.seed
-        )
-        issues = report.mismatches
-        label, plural = "mismatch", "mismatches"
-    if args.json:
-        _emit_json(report.to_json_dict())
-    else:
-        kind = "minor recursion" if args.minors else "engine agreement"
-        print(f"{kind} check: rank {args.rank}, elements {args.elements}, k {args.k}, "
-              f"{len(report.indices)} classes, seed {args.seed}")
-        for issue in issues:
-            print(f"{label}: {issue}")
-        print(f"result: {'PASS' if report.passed else 'FAIL'} ({len(issues)} {plural})")
-    return 0 if report.passed else 2
+def _cmd_crosscheck(args):
+    check = survey.minor_recursion_check if args.minors else survey.engine_crosscheck
+    report = check(args.rank, args.elements, args.k, args.samples, args.seed)
+    issues = report.violations if args.minors else report.mismatches
+    kind, label, plural = (
+        ("minor recursion", "violation", "violations") if args.minors
+        else ("engine agreement", "mismatch", "mismatches")
+    )
+    lines = [
+        f"{kind} check: rank {args.rank}, elements {args.elements}, k {args.k}, "
+        f"{len(report.indices)} classes, seed {args.seed}",
+        *(f"{label}: {issue}" for issue in issues),
+        f"result: {'PASS' if report.passed else 'FAIL'} ({len(issues)} {plural})",
+    ]
+    return report.to_json_dict(), lines, 0 if report.passed else 2
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="lomlab", description=__doc__.splitlines()[0])
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit stable JSON")
-    chunk_help = (
-        "classes per chunk id, the unit a checkpoint records and a rerun resumes by; "
-        "small chunks are counted and saved in batches"
-    )
-
-    matrix_opts = argparse.ArgumentParser(add_help=False)
-    matrix_opts.add_argument("--matrix", required=True, help="matrix text file (+/- rows)")
-    matrix_opts.add_argument(
+def _matrix_flags(required: bool) -> argparse.ArgumentParser:
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--matrix", required=required, help="matrix text file (+/- rows)")
+    parent.add_argument(
         "--flip-cols", help="comma-separated column labels to reorient before computing"
     )
-    matrix_opts.add_argument(
+    parent.add_argument(
         "--flip-rows", help="comma-separated row labels to reorient before computing"
     )
+    return parent
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="lomlab", description=__doc__.splitlines()[0])
+    # parent parsers: each flag that several subcommands share is declared once
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true", help="emit stable JSON")
+    matrix = _matrix_flags(required=True)
+    dims = argparse.ArgumentParser(add_help=False)
+    dims.add_argument("--rank", type=int, required=True)
+    dims.add_argument("--elements", type=int, required=True)
+    k = argparse.ArgumentParser(add_help=False)
+    k.add_argument("--k", type=int, required=True)
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--threads", type=int, default=1)
+    run.add_argument(
+        "--chunk-size", type=int, default=survey.DEFAULT_CHUNK_SIZE,
+        help="classes per chunk id, the unit a checkpoint records and a rerun resumes by; "
+        "small chunks are counted and saved in batches",
+    )
+    run.add_argument("--checkpoint", help="checkpoint JSON path (resume if it exists)")
 
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    p = sub.add_parser("travel", parents=[common, matrix_opts],
+    p = sub.add_parser("travel", parents=[common, matrix],
                        help="print the top (or bottom) travel of a matrix")
     p.add_argument("--bottom", action="store_true", help="bottom travel instead of top")
     p.set_defaults(func=_cmd_travel)
 
-    p = sub.add_parser("circuits", parents=[common, matrix_opts],
+    p = sub.add_parser("circuits", parents=[common, matrix],
                        help="list every circuit of a matrix")
     p.set_defaults(func=_cmd_circuits)
 
-    p = sub.add_parser("fcount", parents=[common, matrix_opts],
+    p = sub.add_parser("fcount", parents=[common, matrix, k],
                        help="count k-neighborly reorientation subsets")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--engine", choices=("circuits", "travels", "chirotope"),
-                   default="circuits")
+    p.add_argument("--engine", choices=_FCOUNT_ENGINES, default="circuits")
     p.set_defaults(func=_cmd_fcount)
 
-    p = sub.add_parser("plain-travels", parents=[common],
+    p = sub.add_parser("plain-travels", parents=[common, _matrix_flags(required=False)],
                        help="enumerate plain travels; with --matrix/--k, count the k-neighborly ones")
     p.add_argument("--rank", type=int)
     p.add_argument("--elements", type=int)
-    p.add_argument("--matrix")
-    p.add_argument("--flip-cols")
-    p.add_argument("--flip-rows")
     p.add_argument("--k", type=int)
     p.set_defaults(func=_cmd_plain_travels)
 
-    p = sub.add_parser("chessboard", parents=[common, matrix_opts],
+    p = sub.add_parser("chessboard", parents=[common, matrix],
                        help="print the chessboard of a matrix (B/W relevant, b/w irrelevant)")
     p.set_defaults(func=_cmd_chessboard)
 
-    p = sub.add_parser("representative", parents=[common],
+    p = sub.add_parser("representative", parents=[common, dims],
                        help="print the canonical matrix of a class index")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--elements", type=int, required=True)
     p.add_argument("--index", type=int, required=True)
     p.set_defaults(func=_cmd_representative)
 
-    p = sub.add_parser("formulas", parents=[common],
+    p = sub.add_parser("formulas", parents=[common, dims, k],
                        help="evaluate the closed forms and bounds at (rank, elements, k)")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--elements", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
     p.set_defaults(func=_cmd_formulas)
 
-    p = sub.add_parser("survey", parents=[common],
+    p = sub.add_parser("survey", parents=[common, dims, k, run],
                        help="evaluate f for every reorientation class")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--elements", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
     p.add_argument("--engine", choices=survey.ENGINES, default="circuits")
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--chunk-size", type=int, default=survey.DEFAULT_CHUNK_SIZE,
-                   help=chunk_help)
-    p.add_argument("--checkpoint", help="checkpoint JSON path (resume if it exists)")
     p.add_argument("--out", help="write the result JSON to this path")
     p.add_argument(
         "--range",
@@ -459,20 +431,13 @@ def build_parser() -> _Parser:
                    help="verify this many sampled classes against the travels engine first")
     p.set_defaults(func=_cmd_survey)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[common, run],
                        help="run a preset survey and assert its expected statistics")
     p.add_argument("--case", required=True, choices=sorted(survey.PRESETS))
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--chunk-size", type=int, default=survey.DEFAULT_CHUNK_SIZE,
-                   help=chunk_help)
-    p.add_argument("--checkpoint")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("crosscheck", parents=[common],
+    p = sub.add_parser("crosscheck", parents=[common, dims, k],
                        help="sampled engine agreement (or, with --minors, minor recursion) check")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--elements", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--minors", action="store_true",
@@ -489,13 +454,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        payload, lines, code = args.func(args)
+        print(json.dumps(payload, indent=2) if args.json else "\n".join(lines))
     except survey.EngineMismatchError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -35,6 +35,7 @@ import multiprocessing
 import os
 import random
 import re
+import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -768,7 +769,13 @@ def _sample_indices(r: int, n: int, sample_size: int, seed: int) -> list[int]:
     if sample_size >= total:
         return list(range(total))
     rng = random.Random(seed)
-    return sorted(rng.sample(range(total), sample_size))
+    if total <= sys.maxsize:
+        return sorted(rng.sample(range(total), sample_size))
+    # random.sample takes len(range(total)), which overflows past sys.maxsize
+    chosen: set[int] = set()
+    while len(chosen) < sample_size:
+        chosen.add(rng.randrange(total))
+    return sorted(chosen)
 
 
 @dataclass

@@ -1,10 +1,13 @@
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+import pytest
 
 import lomlab
 import lomlab.survey as survey_module
@@ -24,6 +27,45 @@ def run_cli(capsys, *argv):
 
 def golden(name: str) -> str:
     return (GOLDEN / name).read_text()
+
+
+# One invocation per subcommand (both crosscheck modes, both plain-travels
+# forms), each run with --json and pinned byte for byte by tests/golden/json.
+JSON_CASES = {
+    "travel": ("travel", "--matrix", str(DATA / "col2_negated_3x5.txt"), "--bottom"),
+    "circuits": ("circuits", "--matrix", str(DATA / "all_plus_2x3.txt")),
+    "fcount": ("fcount", "--matrix", str(DATA / "all_plus_3x5.txt"), "--k", "1"),
+    "plain_travels": ("plain-travels", "--rank", "2", "--elements", "3"),
+    "plain_travels_matrix": (
+        "plain-travels", "--matrix", str(DATA / "all_plus_3x5.txt"), "--k", "1"
+    ),
+    "chessboard": ("chessboard", "--matrix", str(DATA / "col2_negated_3x5.txt")),
+    "representative": ("representative", "--rank", "3", "--elements", "6", "--index", "1"),
+    "formulas": ("formulas", "--rank", "7", "--elements", "11", "--k", "2"),
+    "survey": ("survey", "--rank", "3", "--elements", "6", "--k", "1"),
+    "verify": ("verify", "--case", "r3n5k1"),
+    "crosscheck": (
+        "crosscheck", "--rank", "3", "--elements", "5", "--k", "1", "--samples", "4",
+    ),
+    "crosscheck_minors": (
+        "crosscheck", "--rank", "3", "--elements", "6", "--k", "1", "--samples", "6",
+        "--seed", "3", "--minors",
+    ),
+}
+
+
+def without_elapsed(out: str) -> str:
+    """Survey and verify JSON with its one wall-clock line dropped."""
+    return "".join(
+        line for line in out.splitlines(keepends=True) if '"elapsed_seconds": ' not in line
+    )
+
+
+def fail_r3n5k1(monkeypatch):
+    """Make verify --case r3n5k1 fail its max-f-expected check."""
+    monkeypatch.setitem(
+        survey_module.PRESETS, "r3n5k1", SurveyPreset(3, 5, 1, expected_max_f=999)
+    )
 
 
 class TestGoldenOutputs:
@@ -99,6 +141,25 @@ class TestGoldenOutputs:
         )
         assert code == 0
         assert out == golden("crosscheck_3x5_k1.txt")
+
+    def test_plain_travels_of_a_matrix(self, capsys):
+        code, out, _ = run_cli(capsys, *JSON_CASES["plain_travels_matrix"])
+        assert code == 0
+        assert out == golden("plain_travels_3x5_k1.txt")
+
+
+class TestJsonGoldens:
+    @pytest.mark.parametrize("name", JSON_CASES)
+    def test_json_golden(self, capsys, name):
+        code, out, err = run_cli(capsys, *JSON_CASES[name], "--json")
+        assert (code, err) == (0, "")
+        assert without_elapsed(out) == golden(f"json/{name}.json")
+
+    def test_verify_failure_json_golden(self, capsys, monkeypatch):
+        fail_r3n5k1(monkeypatch)
+        code, out, err = run_cli(capsys, "verify", "--case", "r3n5k1", "--json")
+        assert (code, err) == (2, "")
+        assert without_elapsed(out) == golden("json/verify_failure.json")
 
 
 class TestJsonOutputs:
@@ -201,9 +262,7 @@ class TestSurveyCommands:
         )
 
     def test_verify_failure_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setitem(
-            survey_module.PRESETS, "r3n5k1", SurveyPreset(3, 5, 1, expected_max_f=999)
-        )
+        fail_r3n5k1(monkeypatch)
         code, out, _ = run_cli(capsys, "verify", "--case", "r3n5k1")
         assert code == 2
         assert "FAIL max-f-expected" in out
@@ -227,6 +286,17 @@ class TestSurveyCommands:
         payload = json.loads(out)
         assert code == 0
         assert payload["passed"] is True and payload["violations"] == []
+
+    def test_crosscheck_samples_a_space_past_sys_maxsize(self, capsys):
+        # (12,24) has about 2^121 classes; zero samples count none of them
+        for extra, issues in (((), "mismatches"), (("--minors",), "violations")):
+            code, out, err = run_cli(
+                capsys,
+                "crosscheck", "--rank", "12", "--elements", "24", "--k", "1", "--samples", "0",
+                *extra,
+            )
+            assert (code, err) == (0, ""), extra
+            assert out.endswith(f"result: PASS (0 {issues})\n"), extra
 
     def test_crosscheck_minors_names_a_violation(self, capsys, monkeypatch):
         violation = {"index": 5, "element": 2, "f": 8, "f_contract": 2, "f_delete": 4}
@@ -273,6 +343,18 @@ class TestErrorHandling:
         )
         assert code == 1
         assert "--flip-cols" in err
+
+    def test_flip_label_out_of_range_names_the_flag(self, capsys):
+        for flag, labels, want in (
+            ("--flip-cols", "0", "--flip-cols: column label 0 out of range 1..5"),
+            ("--flip-rows", "2,4", "--flip-rows: row label 4 out of range 1..3"),
+        ):
+            code, out, err = run_cli(
+                capsys, "fcount", "--matrix", str(DATA / "all_plus_3x5.txt"), "--k", "1",
+                flag, labels,
+            )
+            assert (code, out) == (1, "")
+            assert err == f"error: {want}\n"
 
     def test_bad_range(self, capsys):
         code, _, err = run_cli(
@@ -409,6 +491,14 @@ class TestErrorHandling:
         assert code == 1 and out == ""
         assert "--k needs --matrix" in err
 
+    def test_plain_travels_matrix_with_dimensions_refused(self, capsys):
+        for dims in (("--rank", "5", "--elements", "9"), ("--rank", "3"), ("--elements", "5")):
+            code, out, err = run_cli(
+                capsys, "plain-travels", "--matrix", str(DATA / "all_plus_3x5.txt"), *dims
+            )
+            assert (code, out) == (1, ""), dims
+            assert "--matrix" in err and "--rank and --elements" in err, dims
+
     def test_wide_matrix_count_names_n(self, capsys, tmp_path):
         wide = tmp_path / "wide.txt"
         wide.write_text("+" * 25 + "\n")
@@ -435,6 +525,28 @@ class TestErrorHandling:
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
         assert run_cli(capsys, "survey", "--help")[0] == 0
+
+    def test_help_lists_each_subcommand_flags(self, capsys):
+        matrix = {"--matrix", "--flip-cols", "--flip-rows"}
+        dims = {"--rank", "--elements"}
+        run = {"--threads", "--chunk-size", "--checkpoint"}
+        want = {
+            "travel": {*matrix, "--bottom"},
+            "circuits": matrix,
+            "fcount": {*matrix, "--k", "--engine"},
+            "plain-travels": {*matrix, *dims, "--k"},
+            "chessboard": matrix,
+            "representative": {*dims, "--index"},
+            "formulas": {*dims, "--k"},
+            "survey": {*dims, "--k", *run, "--engine", "--out", "--range", "--crosscheck-samples"},
+            "verify": {*run, "--case"},
+            "crosscheck": {*dims, "--k", "--samples", "--seed", "--minors"},
+        }
+        for command, flags in want.items():
+            code, out, _ = run_cli(capsys, command, "--help")
+            assert code == 0
+            listed = set(re.findall(r"(?<![\w-])--[a-z-]+", out))
+            assert listed == {*flags, "--help", "--json"}, command
 
 
 class TestKillAndResume:

@@ -31,6 +31,7 @@ from lomlab.survey import (
     _counted,
     _quotient_generators,
     _run_chunk,
+    _sample_indices,
     _survey_table,
     engine_crosscheck,
     load_checkpoint,
@@ -971,6 +972,23 @@ class TestEngineCrosscheck:
         payload = engine_crosscheck(3, 5, 0, sample_size=4, seed=1).to_json_dict()
         assert payload["passed"] is True
         assert payload["classes_checked"] == 4
+
+
+class TestSampleIndices:
+    def test_seeded_indices_are_pinned(self):
+        # the indices a seed draws are part of a crosscheck's record
+        assert _sample_indices(7, 11, 6, 0) == [21225, 135746, 201979, 212302, 220500, 254766]
+        assert _sample_indices(7, 11, 6, 7) == [25315, 37977, 49351, 79088, 169781, 207001]
+
+    def test_class_space_past_sys_maxsize(self):
+        total = class_count(12, 24)
+        assert total > sys.maxsize
+        for seed in (0, 1):
+            indices = _sample_indices(12, 24, 5, seed)
+            assert indices == _sample_indices(12, 24, 5, seed)
+            assert indices == sorted(set(indices)) and len(indices) == 5
+            assert all(0 <= i < total for i in indices)
+        assert _sample_indices(12, 24, 5, 0) != _sample_indices(12, 24, 5, 1)
 
 
 class TestMinorRecursion:
