@@ -179,6 +179,9 @@ def _cmd_plain_travels(args):
     if args.matrix is None:
         if args.k is not None:
             raise ValueError("plain-travels --k needs --matrix, the matrix whose travels it counts")
+        for flag, labels in (("--flip-cols", args.flip_cols), ("--flip-rows", args.flip_rows)):
+            if labels is not None:
+                raise ValueError(f"plain-travels {flag} needs --matrix, the matrix it reorients")
         if args.rank is None or args.elements is None:
             raise ValueError("plain-travels needs either --matrix or --rank and --elements")
         A = None
@@ -319,30 +322,13 @@ def _cmd_verify(args):
         chunk_size=args.chunk_size,
         checkpoint_path=args.checkpoint,
     )
-    lines = [
-        f"case {report.case} (rank {report.result.rank}, "
-        f"elements {report.result.elements}, k {report.result.k})",
-        *report.lines(),
-        f"result: {'PASS' if report.passed else 'FAIL'}",
-    ]
-    return report.to_json_dict(), lines, 0 if report.passed else 2
+    return report.to_json_dict(), report.lines(), 0 if report.passed else 2
 
 
 def _cmd_crosscheck(args):
     check = survey.minor_recursion_check if args.minors else survey.engine_crosscheck
     report = check(args.rank, args.elements, args.k, args.samples, args.seed)
-    issues = report.violations if args.minors else report.mismatches
-    kind, label, plural = (
-        ("minor recursion", "violation", "violations") if args.minors
-        else ("engine agreement", "mismatch", "mismatches")
-    )
-    lines = [
-        f"{kind} check: rank {args.rank}, elements {args.elements}, k {args.k}, "
-        f"{len(report.indices)} classes, seed {args.seed}",
-        *(f"{label}: {issue}" for issue in issues),
-        f"result: {'PASS' if report.passed else 'FAIL'} ({len(issues)} {plural})",
-    ]
-    return report.to_json_dict(), lines, 0 if report.passed else 2
+    return report.to_json_dict(), report.lines(), 0 if report.passed else 2
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,10 @@ credits each count to the classes it stands for.
 
 ``verify_case`` wraps the survey presets whose expected maximizer counts are
 known, reporting one pass/fail line per assertion.  ``engine_crosscheck``
-and ``minor_recursion_check`` are sampled consistency sweeps: the former
-compares the circuits and travels engines class by class, the latter checks
-that a class count never exceeds the sum of its contraction and deletion
-counts at any element.
+and ``minor_recursion_check`` are sampled consistency sweeps through one
+loop, ``_sweep``: the former compares the circuits and travels engines class
+by class, the latter checks f(M) <= f(M/e) + f(M\\e) at every element e.
+Each report prints its own lines.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ import re
 import sys
 import time
 from collections import Counter
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -662,8 +663,13 @@ class VerifyReport:
 
     def lines(self) -> list[str]:
         return [
-            f"{'PASS' if ok else 'FAIL'} {label}: {detail}"
-            for label, ok, detail in self.checks
+            f"case {self.case} (rank {self.result.rank}, "
+            f"elements {self.result.elements}, k {self.result.k})",
+            *(
+                f"{'PASS' if ok else 'FAIL'} {label}: {detail}"
+                for label, ok, detail in self.checks
+            ),
+            f"result: {'PASS' if self.passed else 'FAIL'}",
         ]
 
     def to_json_dict(self) -> dict:
@@ -779,17 +785,31 @@ def _sample_indices(r: int, n: int, sample_size: int, seed: int) -> list[int]:
 
 
 @dataclass
-class CrosscheckReport:
+class _SampledCheck:
+    """The classes a sampled sweep checked and the issues it found: each subclass
+    adds the list of issues, named ``plural``, and the words ``kind`` and ``issue``."""
+
     rank: int
     elements: int
     k: int
     seed: int
     indices: list[int]
-    mismatches: list[dict]
+
+    @property
+    def issues(self) -> list[dict]:
+        return getattr(self, self.plural)
 
     @property
     def passed(self) -> bool:
-        return not self.mismatches
+        return not self.issues
+
+    def lines(self) -> list[str]:
+        return [
+            f"{self.kind} check: rank {self.rank}, elements {self.elements}, k {self.k}, "
+            f"{len(self.indices)} classes, seed {self.seed}",
+            *(f"{self.issue}: {issue}" for issue in self.issues),
+            f"result: {'PASS' if self.passed else 'FAIL'} ({len(self.issues)} {self.plural})",
+        ]
 
     def to_json_dict(self) -> dict:
         return {
@@ -799,50 +819,53 @@ class CrosscheckReport:
             "seed": self.seed,
             "classes_checked": len(self.indices),
             "passed": self.passed,
-            "mismatches": self.mismatches,
+            self.plural: self.issues,
         }
+
+
+@dataclass
+class CrosscheckReport(_SampledCheck):
+    mismatches: list[dict]
+    kind = "engine agreement"
+    issue = "mismatch"
+    plural = "mismatches"
+
+
+@dataclass
+class MinorRecursionReport(_SampledCheck):
+    violations: list[dict]
+    kind = "minor recursion"
+    issue = "violation"
+    plural = "violations"
+
+
+def _sweep(
+    r: int, n: int, sample_size: int, seed: int,
+    issues_of: Callable[[sign_core.SignMatrix], Iterator[dict]],
+) -> tuple[list[int], list[dict]]:
+    """The sampled class indices, and each issue ``issues_of`` yields for the
+    representative of one, led by that class's ``"index"``."""
+    indices = _sample_indices(r, n, sample_size, seed)
+    issues = [
+        {"index": index, **issue}
+        for index in indices
+        for issue in issues_of(representative_of_index(r, n, index))
+    ]
+    return indices, issues
 
 
 def engine_crosscheck(
     r: int, n: int, k: int, sample_size: int, seed: int
 ) -> CrosscheckReport:
     """Compare the circuits and travels engines on sampled class indices."""
-    indices = _sample_indices(r, n, sample_size, seed)
-    mismatches = []
-    for index in indices:
-        A = representative_of_index(r, n, index)
+
+    def mismatches(A: sign_core.SignMatrix) -> Iterator[dict]:
         by_circuits = sign_core.count_k_neighborly_reorientations(A, k)
         by_travels = travels.f_via_travels(A, k)
         if by_circuits != by_travels:
-            mismatches.append(
-                {"index": index, "circuits": by_circuits, "travels": by_travels}
-            )
-    return CrosscheckReport(r, n, k, seed, indices, mismatches)
+            yield {"circuits": by_circuits, "travels": by_travels}
 
-
-@dataclass
-class MinorRecursionReport:
-    rank: int
-    elements: int
-    k: int
-    seed: int
-    indices: list[int]
-    violations: list[dict]
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "elements": self.elements,
-            "k": self.k,
-            "seed": self.seed,
-            "classes_checked": len(self.indices),
-            "passed": self.passed,
-            "violations": self.violations,
-        }
+    return CrosscheckReport(r, n, k, seed, *_sweep(r, n, sample_size, seed, mismatches))
 
 
 def minor_recursion_check(
@@ -853,27 +876,20 @@ def minor_recursion_check(
         raise ValueError(f"minor recursion check needs rank >= 3, got rank {r}")
     if n < r + 2:
         raise ValueError(f"minor recursion check needs n >= r+2, got r={r}, n={n}")
-    indices = _sample_indices(r, n, sample_size, seed)
-    violations = []
-    for index in indices:
-        A = representative_of_index(r, n, index)
+
+    def violations(A: sign_core.SignMatrix) -> Iterator[dict]:
+        count = sign_core.count_k_neighborly_reorientations_chirotope
         table = sign_core.chirotope_from_matrix(A)
-        f = sign_core.count_k_neighborly_reorientations_chirotope(table, k)
+        f = count(table, k)
         for e in range(1, n + 1):
-            f_contract = sign_core.count_k_neighborly_reorientations_chirotope(
-                sign_core.contract_element(table, e), k
-            )
-            f_delete = sign_core.count_k_neighborly_reorientations_chirotope(
-                sign_core.delete_element(table, e), k
-            )
+            f_contract = count(sign_core.contract_element(table, e), k)
+            f_delete = count(sign_core.delete_element(table, e), k)
             if f > f_contract + f_delete:
-                violations.append(
-                    {
-                        "index": index,
-                        "element": e,
-                        "f": f,
-                        "f_contract": f_contract,
-                        "f_delete": f_delete,
-                    }
-                )
-    return MinorRecursionReport(r, n, k, seed, indices, violations)
+                yield {
+                    "element": e,
+                    "f": f,
+                    "f_contract": f_contract,
+                    "f_delete": f_delete,
+                }
+
+    return MinorRecursionReport(r, n, k, seed, *_sweep(r, n, sample_size, seed, violations))

@@ -202,6 +202,12 @@ class TestJsonOutputs:
         assert payload["lom_upper_bound"] - payload["c_value"] == 13876
         assert payload["asymptotic_bound"] == "6967871/3"  # 2*191^3/3!, exact
 
+    def test_formulas_c_unknown(self, capsys):
+        # r = 20 > 2k+1 and n = 25 short of the closed form, past the exhaustive engine
+        code, out, _ = run_cli(capsys, "formulas", "--rank", "20", "--elements", "25", "--k", "3")
+        assert code == 0
+        assert out.splitlines()[0] == "c = None (unknown)"
+
     def test_travel_json(self, capsys):
         code, out, _ = run_cli(
             capsys, "travel", "--matrix", str(DATA / "col2_negated_3x5.txt"),
@@ -241,6 +247,27 @@ class TestSurveyCommands:
             return payload
 
         assert one() == one()
+
+    def test_survey_engine_mismatch_exits_2_before_counting(self, capsys, tmp_path, monkeypatch):
+        f_via_travels = lomlab.travels.f_via_travels
+        monkeypatch.setattr(lomlab.travels, "f_via_travels", lambda A, k: f_via_travels(A, k) + 2)
+        out_path = tmp_path / "result.json"
+        code, out, err = run_cli(
+            capsys,
+            "survey", "--rank", "3", "--elements", "5", "--k", "1",
+            "--crosscheck-samples", "2", "--out", str(out_path),
+        )
+        assert (code, out) == (2, "")
+        assert err == "verification failure: engines disagree at class indices [1, 3]\n"
+        assert not out_path.exists()
+
+    def test_survey_c_unknown_below_rank_2k_plus_1(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "survey", "--rank", "3", "--elements", "6", "--k", "2", "--json"
+        )
+        payload = json.loads(out)
+        assert code == 0
+        assert (payload["c_value"], payload["c_source"]) == (None, "unknown")
 
     def test_survey_range(self, capsys):
         code, out, _ = run_cli(
@@ -490,6 +517,20 @@ class TestErrorHandling:
         )
         assert code == 1 and out == ""
         assert "--k needs --matrix" in err
+
+    @pytest.mark.parametrize("flag, labels", [("--flip-cols", "9"), ("--flip-rows", "1")])
+    def test_plain_travels_flip_needs_a_matrix(self, capsys, flag, labels):
+        code, out, err = run_cli(
+            capsys, "plain-travels", "--rank", "2", "--elements", "3", flag, labels
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: plain-travels {flag} needs --matrix, the matrix it reorients\n"
+
+    def test_plain_travels_needs_a_matrix_or_both_dimensions(self, capsys):
+        for dims in (("--rank", "2"), ("--elements", "3"), ()):
+            code, out, err = run_cli(capsys, "plain-travels", *dims)
+            assert (code, out) == (1, ""), dims
+            assert err == "error: plain-travels needs either --matrix or --rank and --elements\n"
 
     def test_plain_travels_matrix_with_dimensions_refused(self, capsys):
         for dims in (("--rank", "5", "--elements", "9"), ("--rank", "3"), ("--elements", "5")):

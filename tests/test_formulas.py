@@ -4,6 +4,7 @@ from math import comb
 import pytest
 
 from lomlab.formulas import (
+    CValue,
     asymptotic_bound,
     binomial,
     c_closed_form,
@@ -95,6 +96,9 @@ class TestCValue:
         got = c_value(3, 5, 0)
         assert got.value == 22 == 2 * total_plain_travels(3, 5)
         assert got.value == count_k_neighborly_reorientations(alternating_matrix(3, 5), 0)
+
+    def test_unknown_past_the_exhaustive_engine(self):
+        assert c_value(20, 25, 3) == CValue(None, "unknown")
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

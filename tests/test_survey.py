@@ -15,6 +15,7 @@ import pytest
 
 import lomlab.sign_core as sign_core
 import lomlab.survey as survey_module
+import lomlab.travels as travels_module
 from conftest import brute_force_count
 from lomlab.chessboard import class_count, representative_of_index
 from lomlab.sign_core import _run_width, violation_table_nbytes
@@ -566,7 +567,11 @@ class TestVerifyCase:
         assert report.passed
         labels = [label for label, _, _ in report.checks]
         assert "max-f-expected" in labels
-        assert all(line.startswith("PASS") for line in report.lines())
+        lines = report.lines()
+        assert lines[0] == "case r3n5k1 (rank 3, elements 5, k 1)"
+        assert len(lines) == len(report.checks) + 2
+        assert all(line.startswith("PASS") for line in lines[1:-1])
+        assert lines[-1] == "result: PASS"
 
     def test_unknown_case(self):
         with pytest.raises(ValueError):
@@ -972,6 +977,56 @@ class TestEngineCrosscheck:
         payload = engine_crosscheck(3, 5, 0, sample_size=4, seed=1).to_json_dict()
         assert payload["passed"] is True
         assert payload["classes_checked"] == 4
+
+
+class TestSweepIssues:
+    """A failing class goes through the shared sweep into the report's dicts and lines."""
+
+    def test_mismatch(self, monkeypatch):
+        f_via_travels = travels_module.f_via_travels
+        monkeypatch.setattr(travels_module, "f_via_travels", lambda A, k: f_via_travels(A, k) + 2)
+        report = engine_crosscheck(3, 5, 1, sample_size=2, seed=0)
+        assert not report.passed and report.issues is report.mismatches
+        assert [list(m.items()) for m in report.mismatches] == [
+            [("index", 1), ("circuits", 2), ("travels", 4)],
+            [("index", 3), ("circuits", 2), ("travels", 4)],
+        ]
+        assert report.lines() == [
+            "engine agreement check: rank 3, elements 5, k 1, 2 classes, seed 0",
+            "mismatch: {'index': 1, 'circuits': 2, 'travels': 4}",
+            "mismatch: {'index': 3, 'circuits': 2, 'travels': 4}",
+            "result: FAIL (2 mismatches)",
+        ]
+        assert list(report.to_json_dict()) == [
+            "rank", "elements", "k", "seed", "classes_checked", "passed", "mismatches",
+        ]
+
+    def test_violation(self, monkeypatch):
+        # the count of the whole 3x5 table read 10 high, its minors' counts as they are
+        count = sign_core.count_k_neighborly_reorientations_chirotope
+        monkeypatch.setattr(
+            sign_core,
+            "count_k_neighborly_reorientations_chirotope",
+            lambda T, k: count(T, k) + (10 if (T.rank, T.ground_size) == (3, 5) else 0),
+        )
+        report = minor_recursion_check(3, 5, 1, sample_size=1, seed=0)
+        assert not report.passed and report.issues is report.violations
+        assert [list(v.items()) for v in report.violations] == [
+            [("index", 3), ("element", e), ("f", 12), ("f_contract", 0), ("f_delete", 6)]
+            for e in range(1, 6)
+        ]
+        assert report.lines() == [
+            "minor recursion check: rank 3, elements 5, k 1, 1 classes, seed 0",
+            *(
+                f"violation: {{'index': 3, 'element': {e}, 'f': 12, "
+                "'f_contract': 0, 'f_delete': 6}"
+                for e in range(1, 6)
+            ),
+            "result: FAIL (5 violations)",
+        ]
+        assert list(report.to_json_dict()) == [
+            "rank", "elements", "k", "seed", "classes_checked", "passed", "violations",
+        ]
 
 
 class TestSampleIndices:
