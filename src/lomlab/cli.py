@@ -284,6 +284,11 @@ def _cmd_survey(args):
         raise ValueError(
             f"--out: cannot write {args.out}: {Path(args.out).parent} is not a directory"
         )
+    if args.out and args.checkpoint and Path(args.out).resolve() == Path(args.checkpoint).resolve():
+        raise ValueError(
+            f"--out {args.out} and --checkpoint {args.checkpoint} name one file, "
+            "which the result would overwrite"
+        )
     cfg = survey.SurveyConfig(
         rank=args.rank,
         elements=args.elements,
@@ -362,8 +367,8 @@ def build_parser() -> _Parser:
     run.add_argument("--threads", type=int, default=1)
     run.add_argument(
         "--chunk-size", type=int, default=survey.DEFAULT_CHUNK_SIZE,
-        help="classes per chunk id, the unit a checkpoint records and a rerun resumes by; "
-        "small chunks are counted and saved in batches",
+        help="classes per chunk; small chunks are counted and saved in batches of whole "
+        "chunks, and a rerun may change it",
     )
     run.add_argument("--checkpoint", help="checkpoint JSON path (resume if it exists)")
 

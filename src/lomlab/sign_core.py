@@ -659,10 +659,20 @@ def violation_counts(
     _, r, n = entries.shape
     supports, first_rows, groups, pairs = _run_plan(r, n, width, low_bits)
     patterns = _circuit_patterns(entries, supports)
+    unions = _gather_unions(table, patterns, first_rows, groups, pairs.shape[0])
+    violators = _combine_unions(unions, pairs, width - min(low_bits, width))
+    return 2 * ((1 << (n - 1)) - violators.reshape(-1))
+
+
+def _gather_unions(
+    table: np.ndarray, patterns: np.ndarray, first_rows: np.ndarray, groups: tuple, pair_count: int
+) -> np.ndarray:
+    """(2 * pair_count + 1, runs, words): the table rows of each run's supports,
+    OR-ed into the unions of ``_run_plan``'s slots, pattern kept and complemented."""
     runs, words = patterns.shape[1], table.shape[2]
-    keys = np.concatenate([patterns, patterns ^ ((1 << r) - 1)], axis=1) + first_rows
+    keys = np.concatenate([patterns, patterns ^ (table.shape[1] - 1)], axis=1) + first_rows
     flat = table.reshape(-1, words)
-    unions = np.zeros(((2 * pairs.shape[0] + 1) * runs, words), dtype=np.uint64)
+    unions = np.zeros(((2 * pair_count + 1) * runs, words), dtype=np.uint64)
     per = max(1, _BLOCK_BYTES // (2 * runs * words * 8))  # supports per gather
     gathered = np.empty((min(per, keys.shape[0]) * keys.shape[1], words), dtype=np.uint64)
     for s, start, end in groups:  # one gather holds as many supports as fit the cap
@@ -674,12 +684,18 @@ def violation_counts(
             if index.shape[0] > 1:
                 rows = np.bitwise_or.reduce(rows.reshape(index.shape[0], -1, words), axis=0)
             target |= rows
-    # counted offset o << low of a run flips squares (1, low+2)..(1, width+1)
-    # as the bits of o say; parity class g is negated by the parity of the
-    # bits below g
-    unions = unions.reshape(-1, runs, words)
-    low = min(low_bits, width)
-    bits = width - low
+    return unions.reshape(-1, runs, words)
+
+
+def _combine_unions(unions: np.ndarray, pairs: np.ndarray, bits: int) -> np.ndarray:
+    """(runs, 2^bits): the violating reorientations of each counted offset of each run.
+
+    Counted offset o << low of a run flips squares (1, low+2)..(1, width+1)
+    as the ``bits`` bits of o say; parity class g is negated by the parity
+    of the bits below g, and the offset ORs its fixed union with one union
+    per pair of parity classes.
+    """
+    _, runs, words = unions.shape
     offsets = 1 << bits
     step = max(1, _BLOCK_BYTES // (runs * words * 8))  # offsets per step
     below = (1 << np.arange(bits + 1))[:, None] - 1
@@ -695,7 +711,7 @@ def violation_counts(
             unions.take(slots, axis=0, out=part)
             out |= part
         violators[:, lo : lo + o.shape[0]] = np.bitwise_count(out).sum(axis=2, dtype=np.int64).T
-    return 2 * ((1 << (n - 1)) - violators.reshape(-1))
+    return violators
 
 
 def _require_countable(r: int, n: int) -> None:

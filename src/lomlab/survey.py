@@ -5,8 +5,8 @@ count, evaluates the k-neighborly reorientation count of the canonical
 representative with the selected engine, and aggregates a histogram plus
 maximizer statistics.  Results are deterministic: independent of worker
 count, chunk size, and checkpoint/resume history.  Batches of contiguous
-chunks are absorbed in order, also from a pool, and long runs checkpoint
-after each one the cursor below which every chunk is done (atomic write,
+classes are absorbed in order, also from a pool, and long runs checkpoint
+after each one the cursor below which every class is counted (atomic write,
 refuse to resume on metadata mismatch).  The circuits engine counts a
 survey with a violation table: one, built in the calling process before any
 worker starts and shared by forked pool workers, or, when the pool starts
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import operator
 import os
 import random
 import re
@@ -108,6 +109,22 @@ class SurveyConfig:
     crosscheck_samples: int = 0
 
     def __post_init__(self):
+        # first, so that a float is refused here, named, and not in run_survey,
+        # and a numpy integer is kept as an int, which json can write
+        for name in ("rank", "elements", "k", "threads", "chunk_size", "crosscheck_samples"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {name}={value!r}") from None
+        if self.index_range is not None:
+            try:
+                lo, hi = map(operator.index, self.index_range)
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"index_range must be two integers, got index_range={self.index_range!r}"
+                ) from None
+            object.__setattr__(self, "index_range", (lo, hi))
         if self.rank < 2:
             raise ValueError(f"survey needs rank >= 2, got rank {self.rank}")
         if self.elements < self.rank + 1:
@@ -200,21 +217,21 @@ class SurveyResult:
 
 @dataclass
 class Checkpoint:
-    """Every chunk of the range below ``next_chunk`` is done, with this histogram."""
+    """The classes of the range below ``next_index`` are counted, with this histogram."""
 
     meta: dict
-    next_chunk: int
+    next_index: int
     partial_histogram: Counter
     alternating_class_f: int | None
 
     def to_json_dict(self) -> dict:
         return {
             "meta": self.meta,
-            "next_chunk": self.next_chunk,
+            "next_index": self.next_index,
             "partial_histogram": {
                 str(f): c for f, c in sorted(self.partial_histogram.items())
             },
-            "partial_max": {"alternating_class_f": self.alternating_class_f},
+            "alternating_class_f": self.alternating_class_f,
         }
 
 
@@ -226,7 +243,6 @@ def _checkpoint_meta(cfg: SurveyConfig) -> dict:
         "elements": cfg.elements,
         "k": cfg.k,
         "engine": cfg.engine,
-        "chunk_size": cfg.chunk_size,
         "encoding_version": ENCODING_VERSION,
         "range": [lo, hi],
     }
@@ -235,10 +251,14 @@ def _checkpoint_meta(cfg: SurveyConfig) -> dict:
     return meta
 
 
+def _temporary(path: Path) -> Path:
+    return path.with_name(path.name + ".tmp")
+
+
 def save_checkpoint(path: str | Path, cp: Checkpoint) -> None:
     """Write atomically: temp file in the same directory, synced, then renamed."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = _temporary(path)
     with open(tmp, "w") as fh:
         fh.write(json.dumps(cp.to_json_dict(), separators=(",", ":")) + "\n")
         fh.flush()
@@ -250,22 +270,21 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a checkpoint and check it against its own metadata.
 
     Raises CorruptCheckpointError, naming the file, when the file is not a
-    checkpoint with a cursor (one with a list of chunk ids is refused),
-    holds a cursor that is not an integer chunk id of its range or its end,
-    a histogram entry that is not a count >= 1 of an integer f, or an
-    alternating f that is not an integer, holds a histogram that does not
-    total the classes below its cursor, or holds an alternating f when the
-    chunk holding class 0 is not done, or lacks one when it is.
+    checkpoint with a class cursor (one with chunk ids is refused), holds a
+    cursor that is not an integer of its range or its end, a histogram
+    entry that is not a count >= 1 of an integer f, or an alternating f
+    that is not an integer, holds a histogram that does not total the
+    classes below its cursor, or holds an alternating f when class 0 is not
+    counted, or lacks one when it is.
     """
     try:
         data = json.loads(Path(path).read_text())
-        meta, cursor = data["meta"], data["next_chunk"]
+        meta, cursor = data["meta"], data["next_index"]
         counts = data["partial_histogram"].items()
-        alternating = data["partial_max"]["alternating_class_f"]
+        alternating = data["alternating_class_f"]
         lo, hi = meta["range"]
-        size = meta["chunk_size"]
-        ids = _chunk_ids(lo, hi, size)
-    except (ValueError, KeyError, TypeError, AttributeError, ArithmeticError) as exc:
+        cursors = range(lo, hi + 1)  # a TypeError unless both ends are integers
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CorruptCheckpointError(
             f"checkpoint {path} is not a survey checkpoint: {type(exc).__name__}: {exc}"
         ) from None
@@ -274,8 +293,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         return CorruptCheckpointError(f"checkpoint {path} is inconsistent: {problem}")
 
     # json gives 1.0 and true, which equal 1
-    if type(cursor) is not int or not ids.start <= cursor <= ids.stop:
-        raise corrupt(f"next_chunk {cursor!r} is not an integer in [{ids.start},{ids.stop}]")
+    if type(cursor) is not int or cursor not in cursors:
+        raise corrupt(f"next_index {cursor!r} is not an integer in [{lo},{hi}]")
     # json gives 4.9, true and "02" where int() would read 4, 1 and 2
     bad = {
         f: c for f, c in counts
@@ -285,17 +304,16 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise corrupt(f"histogram entries {bad} are not counts >= 1 of integer f values")
     if alternating is not None and type(alternating) is not int:
         raise corrupt(f"alternating_class_f {alternating!r} is not an integer")
-    covered = max(0, min(hi, cursor * size) - lo)
     surveyed = sum(c for _, c in counts)
-    if surveyed != covered:
+    if surveyed != cursor - lo:
         raise corrupt(
-            f"histogram counts {surveyed} classes, but the chunks below {cursor} cover {covered}"
+            f"histogram counts {surveyed} classes, not the {cursor - lo} of [{lo},{cursor})"
         )
-    holds_zero = lo == 0 and cursor > 0
+    holds_zero = lo == 0 < cursor
     if (alternating is not None) != holds_zero:
         raise corrupt(
-            f"alternating_class_f is {alternating}, but the chunk holding "
-            f"class 0 is {'done' if holds_zero else 'not done'}"
+            f"alternating_class_f is {alternating}, but class 0 is "
+            f"{'counted' if holds_zero else 'not counted'}"
         )
     return Checkpoint(meta, cursor, Counter({int(f): c for f, c in counts}), alternating)
 
@@ -378,23 +396,14 @@ def _init_worker(cfg: SurveyConfig, table: np.ndarray | None, classes: int | Non
     _WORKER_STATE = cfg, table
 
 
-def _worker_chunk(job: tuple[range, int, int]) -> tuple[range, dict, int | None]:
-    chunk_ids, lo, hi = job
-    hist, alt = _run_chunk(*_WORKER_STATE, lo, hi)
-    return chunk_ids, dict(hist), alt
+def _worker_chunk(job: tuple[int, int]) -> tuple[int, int, dict, int | None]:
+    hist, alt = _run_chunk(*_WORKER_STATE, *job)
+    return *job, dict(hist), alt
 
 
 # ---------------------------------------------------------------------------
 # the survey driver
 # ---------------------------------------------------------------------------
-
-def _chunk_ids(lo: int, hi: int, size: int) -> range:
-    """Ids of the chunks of ``size`` classes that meet [lo, hi).
-
-    Chunk c holds the classes [max(lo, c * size), min(hi, (c + 1) * size)).
-    """
-    return range(lo // size, -(-hi // size))
-
 
 # Column j's coloring cj is the class index with every relevant square (i, j)
 # black.  In a space of 2^B classes, w = n-r-1 the length of chessboard row
@@ -494,32 +503,34 @@ def _counted(cfg: SurveyConfig) -> tuple[int, int, int, int]:
     return 1, min(1, cfg.elements - cfg.rank - 1), lo, hi
 
 
-def _chunk_jobs(cfg: SurveyConfig, next_chunk: int) -> list[tuple[range, int, int]]:
-    """Batches of the chunks from ``next_chunk`` on as (chunk ids, first index, end index).
+def _chunk_jobs(cfg: SurveyConfig, next_index: int) -> list[tuple[int, int]]:
+    """Batches of the classes from ``next_index`` on, as (first index, end index).
 
-    Chunks cover the classes ``_counted`` names, and the pending ones are
-    one contiguous range.  One batch is counted by one call and checkpointed
-    by one write, so small chunks do not pay the fixed cost of a call and a
-    write each.  A batch holds up to ceil(DEFAULT_CHUNK_SIZE / chunk_size)
-    chunks, so one chunk at DEFAULT_CHUNK_SIZE or more, and few enough that
-    every worker still gets at least four batches when there are enough
-    chunks.  Past _MAX_BATCHES pending chunks it holds
-    ceil(pending / _MAX_BATCHES) of them instead, which bounds the number of
-    synced writes.
+    The classes are those ``_counted`` names, cut into chunks of
+    ``chunk_size`` classes, chunk c the classes [c * size, (c + 1) * size).
+    The first batch starts at the cursor and every batch ends at a chunk's
+    end or at the range's end.  One batch is counted by one call and
+    checkpointed by one write, so small chunks do not pay the fixed cost of
+    a call and a write each.  A batch holds up to
+    ceil(DEFAULT_CHUNK_SIZE / chunk_size) chunks, so one chunk at
+    DEFAULT_CHUNK_SIZE or more, and few enough that every worker still gets
+    at least four batches when there are enough chunks.  Past _MAX_BATCHES
+    pending chunks it holds ceil(pending / _MAX_BATCHES) of them instead,
+    which bounds the number of synced writes.
     """
     _, _, lo, hi = _counted(cfg)
+    if next_index >= hi:
+        return []
     size = cfg.chunk_size
-    stop = _chunk_ids(lo, hi, size).stop
-    pending = stop - next_chunk
+    start = next_index // size * size
+    pending = -(-(hi - start) // size)
     per_batch = max(
         1,
         -(-pending // _MAX_BATCHES),
         min(-(-DEFAULT_CHUNK_SIZE // size), pending // (4 * cfg.threads)),
     )
-    return [
-        (range(a, min(a + per_batch, stop)), max(lo, a * size), min(hi, (a + per_batch) * size))
-        for a in range(next_chunk, stop, per_batch)
-    ]
+    step = per_batch * size
+    return [(max(next_index, a), min(hi, a + step)) for a in range(start, hi, step)]
 
 
 def _survey_c_value(cfg: SurveyConfig) -> CValue:
@@ -531,9 +542,9 @@ def _survey_c_value(cfg: SurveyConfig) -> CValue:
 def run_survey(cfg: SurveyConfig) -> SurveyResult:
     """Evaluate f for every class index in range and aggregate the statistics.
 
-    Batches of pending chunks run in this process, or on a pool of at most
+    Batches of pending classes run in this process, or on a pool of at most
     ``cfg.threads`` workers and no more than there are batches.  The table
-    is built only when some chunk is pending: once, here, unless the pool
+    is built only when some class is pending: once, here, unless the pool
     starts its workers other than by fork, and then once in each worker.
     """
     start = time.perf_counter()
@@ -544,6 +555,9 @@ def run_survey(cfg: SurveyConfig) -> SurveyResult:
             raise ValueError(f"checkpoint {path}: {path.parent} is not a directory")
         if path.is_dir():
             raise ValueError(f"checkpoint {path}: it is a directory")
+        tmp = _temporary(path)
+        if tmp.is_dir():
+            raise ValueError(f"checkpoint {path}: its temporary file {tmp} is a directory")
     lo, hi = cfg.bounds()
     _, _, first, end = _counted(cfg)
 
@@ -556,7 +570,7 @@ def run_survey(cfg: SurveyConfig) -> SurveyResult:
             )
 
     meta = _checkpoint_meta(cfg)
-    checkpoint = Checkpoint(meta, _chunk_ids(first, end, cfg.chunk_size).start, Counter(), None)
+    checkpoint = Checkpoint(meta, first, Counter(), None)
     if cfg.checkpoint_path is not None and Path(cfg.checkpoint_path).exists():
         checkpoint = load_checkpoint(cfg.checkpoint_path)
         if checkpoint.meta != meta:
@@ -565,13 +579,13 @@ def run_survey(cfg: SurveyConfig) -> SurveyResult:
                 f"refusing to resume a survey with {meta}"
             )
 
-    jobs = _chunk_jobs(cfg, checkpoint.next_chunk)
+    jobs = _chunk_jobs(cfg, checkpoint.next_index)
 
-    def absorb(chunk_ids: range, hist: dict, alt: int | None) -> None:
-        if chunk_ids.start != checkpoint.next_chunk:
-            raise RuntimeError(f"batch {chunk_ids} out of order at chunk {checkpoint.next_chunk}")
+    def absorb(a: int, b: int, hist: dict, alt: int | None) -> None:
+        if a != checkpoint.next_index:
+            raise RuntimeError(f"batch [{a},{b}) out of order at class {checkpoint.next_index}")
         checkpoint.partial_histogram.update(hist)
-        checkpoint.next_chunk = chunk_ids.stop
+        checkpoint.next_index = b
         if alt is not None:
             checkpoint.alternating_class_f = alt
         if cfg.checkpoint_path is not None:
@@ -581,17 +595,16 @@ def run_survey(cfg: SurveyConfig) -> SurveyResult:
     in_parent = serial or multiprocessing.get_start_method() == "fork"
     table = _survey_table(cfg, end - first) if jobs and in_parent else None
     if serial:
-        for chunk_ids, a, b in jobs:
-            hist, alt = _run_chunk(cfg, table, a, b)
-            absorb(chunk_ids, dict(hist), alt)
+        for a, b in jobs:
+            absorb(a, b, *_run_chunk(cfg, table, a, b))
     else:
         with multiprocessing.Pool(
             processes=min(cfg.threads, len(jobs)),
             initializer=_init_worker,
             initargs=(cfg, table, None if in_parent else end - first),
         ) as pool:
-            for chunk_ids, hist, alt in pool.imap(_worker_chunk, jobs):
-                absorb(chunk_ids, hist, alt)
+            for batch in pool.imap(_worker_chunk, jobs):
+                absorb(*batch)
 
     scale = (hi - lo) // (end - first)
     hist = {f: c * scale for f, c in checkpoint.partial_histogram.items()}

@@ -436,6 +436,20 @@ class TestErrorHandling:
         assert f"--out: cannot write {tmp_path}: it is a directory" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_out_naming_the_checkpoint_refused_before_counting(self, capsys, tmp_path, monkeypatch):
+        # the result would overwrite the checkpoint, and the rerun would refuse it
+        (tmp_path / "sub").mkdir()
+        path = tmp_path / "f.json"
+        monkeypatch.setattr(survey_module, "_run_chunk", lambda *args: 1 / 0)
+        for out in (path, tmp_path / "sub" / ".." / "f.json"):
+            code, out_text, err = run_cli(
+                capsys, "survey", "--rank", "3", "--elements", "5", "--k", "1",
+                "--checkpoint", str(path), "--out", str(out),
+            )
+            assert code == 1 and out_text == ""
+            assert f"--out {out} and --checkpoint {path} name one file" in err
+        assert not path.exists()
+
     def test_checkpoint_directory_checked_before_counting(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "missing" / "cp.json"
         monkeypatch.setattr(survey_module, "_run_chunk", lambda *args: 1 / 0)
@@ -604,17 +618,17 @@ class TestKillAndResume:
         proc = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
         try:
             deadline = time.monotonic() + 120
-            while not (checkpoint.exists() and load_checkpoint(checkpoint).next_chunk):
+            while not (checkpoint.exists() and load_checkpoint(checkpoint).next_index):
                 assert proc.poll() is None, proc.stderr.read()
-                assert time.monotonic() < deadline, "no chunk was checkpointed"
+                assert time.monotonic() < deadline, "no batch was checkpointed"
                 time.sleep(0.02)
         finally:
             proc.kill()
             proc.wait(timeout=60)
             proc.stderr.close()
         assert proc.returncode == -signal.SIGKILL
-        done = load_checkpoint(checkpoint).next_chunk
-        assert 0 < done < class_count(7, 11) // 4 // 64  # killed mid-run, in the prefix
+        done = load_checkpoint(checkpoint).next_index
+        assert 0 < done < class_count(7, 11) // 4  # killed mid-run, in the prefix
         resumed = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=600)
         assert resumed.returncode == 0, resumed.stderr
         got = json.loads(resumed.stdout)

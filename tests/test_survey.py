@@ -11,6 +11,7 @@ import tracemalloc
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lomlab.sign_core as sign_core
@@ -27,7 +28,6 @@ from lomlab.survey import (
     CorruptCheckpointError,
     SurveyConfig,
     _checkpoint_meta,
-    _chunk_ids,
     _chunk_jobs,
     _counted,
     _quotient_generators,
@@ -235,40 +235,62 @@ class TestQuotient:
 
 
 class TestChunkJobs:
-    """Pending chunks go out in batches of contiguous chunk ids, from the
-    cursor to the end.  The chunks cover the classes a survey counts: the
-    prefix [0, N/4) of the space for a circuits survey of the whole space,
-    which stands for the other three quarters too, and every class in its
-    bounds for any other survey.  ``skip`` is the range of chunks that a
-    checkpoint holds done, from the first chunk to the cursor."""
+    """Pending classes go out in batches of contiguous classes, from the
+    cursor to the end, made of whole chunks of ``chunk_size`` classes, chunk c
+    the classes [c * size, (c + 1) * size).  The classes are those a survey
+    counts: the prefix [0, N/4) of the space for a circuits survey of the
+    whole space, which stands for the other three quarters too, and every
+    class in its bounds for any other survey.  ``skip`` is the range of
+    classes that a checkpoint holds counted, from the first class to the
+    cursor."""
 
     @staticmethod
-    def check(cfg, bounds, skip, per_batch):
+    def chunk_id_batches(cfg, next_chunk):
+        """The bounds of the batches from chunk ``next_chunk`` on, as batches of
+        chunk ids gave them when checkpoints recorded a chunk cursor."""
+        _, _, lo, hi = _counted(cfg)
+        size = cfg.chunk_size
+        stop = -(-hi // size)
+        pending = stop - next_chunk
+        per_batch = max(
+            1,
+            -(-pending // survey_module._MAX_BATCHES),
+            min(-(-DEFAULT_CHUNK_SIZE // size), pending // (4 * cfg.threads)),
+        )
+        return [
+            (max(lo, c * size), min(hi, (c + per_batch) * size))
+            for c in range(next_chunk, stop, per_batch)
+        ]
+
+    @classmethod
+    def check(cls, cfg, bounds, skip, per_batch):
         lo, hi = bounds
         size = cfg.chunk_size
-        assert skip.start == _chunk_ids(lo, hi, size).start
+        assert skip.start == lo
         jobs = _chunk_jobs(cfg, skip.stop)
-        ids = [cid for batch, _, _ in jobs for cid in batch]
-        # each pending chunk once, in order
-        assert ids == list(range(skip.stop, _chunk_ids(lo, hi, size).stop))
-        for batch, a, b in jobs:
-            assert (a, b) == (max(lo, batch[0] * size), min(hi, (batch[-1] + 1) * size))
+        # each pending class once, in order, and each batch but the last ends at a chunk's end
+        assert [a for a, _ in jobs] == [skip.stop, *(b for _, b in jobs[:-1])]
+        assert jobs[-1][1] == hi
+        assert all(b % size == 0 for _, b in jobs[:-1])
+        # the bounds of batches of chunk ids from the chunk the cursor starts
+        assert jobs == cls.chunk_id_batches(cfg, skip.stop // size)
         # every batch but the last holds the cap
-        assert {len(batch) for batch, _, _ in jobs[:-1]} <= {per_batch}
-        assert 1 <= len(jobs[-1][0]) <= per_batch
-        assert max(len(batch) for batch, _, _ in jobs) == per_batch
-        return ids
+        chunks = [-(-b // size) - a // size for a, b in jobs]
+        assert set(chunks[:-1]) <= {per_batch}
+        assert 1 <= chunks[-1] <= per_batch
+        assert max(chunks) == per_batch
+        return sum(chunks)
 
     @pytest.mark.parametrize(
         "r,n,chunk_size,threads,index_range,skip,per_batch",
         [
             (3, 8, 4, 1, None, range(0), 16),  # 64 chunks: at least four batches a worker
-            (3, 8, 4, 2, None, range(4), 7),  # 60 pending // (4 * 2)
-            (3, 8, 4, 1, (5, 251), range(1, 3), 15),  # chunks 1..62, the ends cut by the range
-            (7, 11, 2048, 1, None, range(1), 2),  # DEFAULT_CHUNK_SIZE classes a batch
-            (3, 8, 4, 3, None, range(60), 1),  # too few pending chunks to merge
+            (3, 8, 4, 2, None, range(16), 7),  # 60 pending // (4 * 2)
+            (3, 8, 4, 1, (5, 251), range(5, 12), 15),  # chunks 1..62, the ends cut by the range
+            (7, 11, 2048, 1, None, range(2048), 2),  # DEFAULT_CHUNK_SIZE classes a batch
+            (3, 8, 4, 3, None, range(240), 1),  # too few pending chunks to merge
             (7, 11, DEFAULT_CHUNK_SIZE, 1, None, range(0), 1),
-            (7, 11, 5000, 2, None, range(1), 1),
+            (7, 11, 5000, 2, None, range(5000), 1),
         ],
     )
     def test_batches(self, r, n, chunk_size, threads, index_range, skip, per_batch):
@@ -284,13 +306,13 @@ class TestChunkJobs:
         "r,n,chunk_size,threads,index_range,skip,per_batch,pending",
         [
             (3, 8, 2, 1, None, range(0), 8, 32),  # 32 chunks of the prefix: four batches a worker
-            (3, 8, 2, 2, None, range(3), 3, 29),  # 29 pending // (4 * 2)
-            (3, 8, 4, 1, (5, 251), range(1, 3), 15, 60),  # chunks 1..62, across the prefix's end
-            (7, 11, 2048, 1, None, range(1), 2, 31),  # DEFAULT_CHUNK_SIZE classes a batch
-            (3, 8, 2, 3, None, range(28), 1, 4),  # too few pending chunks to merge
+            (3, 8, 2, 2, None, range(6), 3, 29),  # 29 pending // (4 * 2)
+            (3, 8, 4, 1, (5, 251), range(5, 12), 15, 60),  # chunks 1..62, across the prefix's end
+            (7, 11, 2048, 1, None, range(2048), 2, 31),  # DEFAULT_CHUNK_SIZE classes a batch
+            (3, 8, 2, 3, None, range(56), 1, 4),  # too few pending chunks to merge
             (7, 11, DEFAULT_CHUNK_SIZE, 1, None, range(0), 1, 16),
-            (7, 11, 5000, 2, None, range(1), 1, 13),  # the last chunk is cut at the prefix's end
-            (3, 6, 3, 1, (7, 9), range(2, 2), 1, 1),  # [7, 9) across half the space, cut by the range
+            (7, 11, 5000, 2, None, range(5000), 1, 13),  # the last chunk is cut at the prefix's end
+            (3, 6, 3, 1, (7, 9), range(7, 7), 1, 1),  # [7, 9) across half the space, cut by the range
         ],
     )
     def test_mirrored_batches(
@@ -300,53 +322,55 @@ class TestChunkJobs:
             r, n, 1, threads=threads, chunk_size=chunk_size, index_range=index_range
         )
         bounds = index_range or (0, class_count(r, n) // 4)
-        assert len(self.check(cfg, bounds, skip, per_batch)) == pending
+        assert self.check(cfg, bounds, skip, per_batch) == pending
 
     def test_checkpoint_writes_stay_bounded(self):
         # every write is synced: the 65536 default-size chunks of the prefix
         # of (7,13) go out in 4096 batches, not one write each
         jobs = _chunk_jobs(SurveyConfig(7, 13, 2, threads=2), 0)
         assert len(jobs) == 4096
-        assert {len(batch) for batch, _, _ in jobs} == {16}
+        assert {b - a for a, b in jobs} == {16 * DEFAULT_CHUNK_SIZE}
 
     def test_batches_past_sys_maxsize_chunks(self):
-        # 2^75 classes in default chunks: more chunk ids than len() can give
+        # 2^75 classes in default chunks: more chunks than len() can give
         cfg = SurveyConfig(8, 20, 2)
         _, _, lo, hi = _counted(cfg)
-        ids = _chunk_ids(lo, hi, cfg.chunk_size)
-        assert (lo, hi) == (0, 1 << 75) and ids.stop > sys.maxsize
+        assert (lo, hi) == (0, 1 << 75) and hi // cfg.chunk_size > sys.maxsize
         jobs = _chunk_jobs(cfg, 0)
         assert 1 <= len(jobs) <= survey_module._MAX_BATCHES
-        assert (jobs[0][0].start, jobs[0][1]) == (0, 0)
-        assert (jobs[-1][0].stop, jobs[-1][2]) == (ids.stop, hi)
-        for (a, _, end), (b, first, _) in zip(jobs, jobs[1:]):
-            assert a.stop == b.start and end == first
+        assert (jobs[0][0], jobs[-1][1]) == (0, hi)
+        for (_, end), (first, _) in zip(jobs, jobs[1:]):
+            assert end == first
 
     @staticmethod
-    def greedy_batches(cfg, skip):
-        """The batches of a greedy merge over a list of every chunk of the counted range."""
+    def greedy_batches(cfg, cursor):
+        """The batches of a greedy merge over a list of every chunk of the
+        counted classes that ends past the cursor, the first cut by it."""
         _, _, lo, hi = _counted(cfg)
         size = cfg.chunk_size
         pending = [
-            (cid, max(lo, cid * size), min(hi, (cid + 1) * size))
-            for cid in range(lo // size, (hi - 1) // size + 1)
-            if cid not in skip
+            (max(cursor, c * size), min(hi, (c + 1) * size))
+            for c in range(lo // size, (hi - 1) // size + 1)
+            if min(hi, (c + 1) * size) > cursor
         ]
         per_batch = max(
             1,
             -(-len(pending) // survey_module._MAX_BATCHES),
             min(-(-DEFAULT_CHUNK_SIZE // size), len(pending) // (4 * cfg.threads)),
         )
-        batches = []
-        for cid, a, b in pending:
-            if batches and batches[-1][0].stop == cid and len(batches[-1][0]) < per_batch:
-                ids, first, _ = batches[-1]
-                batches[-1] = (range(ids.start, cid + 1), first, b)
+        batches = []  # [first, end, chunks]
+        for a, b in pending:
+            if batches and batches[-1][2] < per_batch:
+                batches[-1][1:] = b, batches[-1][2] + 1
             else:
-                batches.append((range(cid, cid + 1), a, b))
-        return batches
+                batches.append([a, b, 1])
+        return [(a, b) for a, b, _ in batches]
 
     def test_same_batches_as_a_greedy_merge(self):
+        # at a cursor on a chunk's start, as a survey of this chunk size
+        # writes it, the batches are also those of chunk ids; at any other
+        # cursor, as one of another chunk size writes it, the first batch
+        # starts at the cursor
         rng = random.Random(16)
         shapes = [(r, n) for r in range(2, 8) for n in range(r + 1, 15)]
         cases = 0
@@ -363,13 +387,19 @@ class TestChunkJobs:
                 threads=rng.randint(1, 4), chunk_size=chunk_size, index_range=index_range,
             )
             _, _, lo, hi = _counted(cfg)
-            ids = _chunk_ids(lo, hi, chunk_size)
-            if len(ids) > 1 << 14:
+            first, stop = lo // chunk_size, -(-hi // chunk_size)
+            if stop - first > 1 << 14:
                 continue
             done = rng.choice([0, 0.01, 0.3, 0.5, 0.9, 1, rng.random()])
-            cursor = ids.start + int(done * len(ids))
-            skip = set(range(ids.start, cursor))
-            assert _chunk_jobs(cfg, cursor) == self.greedy_batches(cfg, skip), (cfg, cursor)
+            next_chunk = first + int(done * (stop - first))
+            cursor = max(lo, min(hi, next_chunk * chunk_size))
+            assert (
+                _chunk_jobs(cfg, cursor)
+                == self.greedy_batches(cfg, cursor)
+                == self.chunk_id_batches(cfg, next_chunk)
+            ), (cfg, cursor)
+            cursor = rng.choice([lo, hi, rng.randint(lo, hi)])
+            assert _chunk_jobs(cfg, cursor) == self.greedy_batches(cfg, cursor), (cfg, cursor)
             cases += 1
 
     def test_frontier_batches_cost_no_memory_per_chunk(self):
@@ -380,12 +410,12 @@ class TestChunkJobs:
         for done in (0, 1 << 20, 15 << 17):
             tracemalloc.start()
             try:
-                jobs = _chunk_jobs(cfg, done)
+                jobs = _chunk_jobs(cfg, done * DEFAULT_CHUNK_SIZE)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert len(jobs) == 4096
-            assert {len(batch) for batch, _, _ in jobs} == {((1 << 21) - done) // 4096}
+            assert {b - a for a, b in jobs} == {((1 << 21) - done) // 4096 * DEFAULT_CHUNK_SIZE}
             assert peak < 1 << 20
 
 
@@ -394,20 +424,19 @@ class TestCheckpointing:
         path = tmp_path / "survey.ckpt.json"
         cfg = SurveyConfig(3, 6, 1, chunk_size=4, checkpoint_path=path)
 
-        # simulate an interrupted run: only chunk 0 finished ((3,6) counts
+        # simulate an interrupted run: only classes 0..3 counted ((3,6) counts
         # every class: c3 and c(n-3) are one coloring)
         hist, alternating = _run_chunk(cfg, None, 0, 4)
-        partial = Checkpoint(_checkpoint_meta(cfg), 1, Counter(hist), alternating)
+        partial = Checkpoint(_checkpoint_meta(cfg), 4, Counter(hist), alternating)
         save_checkpoint(path, partial)
 
         resumed = run_survey(cfg)
         direct = run_survey(SurveyConfig(3, 6, 1, chunk_size=4))
         assert result_fingerprint(resumed) == result_fingerprint(direct)
 
-        # the checkpoint on disk now covers all four chunks, each of the 16
-        # classes counted once
+        # the checkpoint on disk now covers each of the 16 classes once
         final = load_checkpoint(path)
-        assert final.next_chunk == 4
+        assert final.next_index == 16
         assert sum(final.partial_histogram.values()) == 16
 
     def test_checkpoint_write_is_idempotent_when_complete(self, tmp_path):
@@ -435,15 +464,16 @@ class TestCheckpointing:
         )
         fresh = result_fingerprint(run_survey(cfg))
         assert fresh == result_fingerprint(run_survey(SurveyConfig(8, 11, 2)))
-        # 64 chunks of the prefix in four batches a worker; the last write is the complete run
+        # 64 chunks of the prefix's 4096 classes in four batches a worker; the
+        # last write is the complete run
         boundaries = written.copy()
-        step = 64 // (4 * threads)
-        assert [json.loads(text)["next_chunk"] for text in boundaries] == list(range(step, 65, step))
+        step = 4096 // (4 * threads)
+        assert [json.loads(text)["next_index"] for text in boundaries] == list(range(step, 4097, step))
         for text in boundaries:
             # indented, as earlier versions wrote checkpoints, and still read
             path.write_text(json.dumps(json.loads(text), indent=2) + "\n")
             assert result_fingerprint(run_survey(cfg)) == fresh
-            assert load_checkpoint(path).next_chunk == 64
+            assert load_checkpoint(path).next_index == 4096
         # on two threads, the fresh run and each resume with chunks pending start a pool
         assert pools == [2] * (threads > 1) * 8
 
@@ -454,15 +484,15 @@ class TestCheckpointing:
         real = survey_module.save_checkpoint
         monkeypatch.setattr(
             survey_module, "save_checkpoint",
-            lambda p, cp: (saved.append(cp.next_chunk), real(p, cp)),
+            lambda p, cp: (saved.append(cp.next_index), real(p, cp)),
         )
         pooled = result_fingerprint(run_survey(cfg))
         assert pooled == result_fingerprint(run_survey(SurveyConfig(8, 11, 2)))
         # 64 chunks in the prefix, 8 to a batch: four batches for each of
         # the two workers
         assert len(saved) == len(_chunk_jobs(cfg, 0)) == 8
-        assert saved == list(range(8, 65, 8))
-        assert load_checkpoint(path).next_chunk == 64
+        assert saved == list(range(512, 4097, 512))
+        assert load_checkpoint(path).next_index == 4096
         assert pools == [2]
 
     def test_pool_absorbs_batches_in_order(self, tmp_path, monkeypatch, pools):
@@ -482,11 +512,39 @@ class TestCheckpointing:
         monkeypatch.setattr(survey_module, "_run_chunk", first_batch_last)
         monkeypatch.setattr(
             survey_module, "save_checkpoint",
-            lambda p, cp: (real_save(p, cp), cursors.append(load_checkpoint(p).next_chunk)),
+            lambda p, cp: (real_save(p, cp), cursors.append(load_checkpoint(p).next_index)),
         )
         cfg = SurveyConfig(4, 8, 1, threads=2, chunk_size=8, checkpoint_path=path)
         assert result_fingerprint(run_survey(cfg)) == want
-        assert cursors == list(range(2, 17, 2))
+        assert cursors == list(range(16, 129, 16))
+        assert pools == [2]
+
+    def test_resume_at_another_chunk_size_and_thread_count(self, tmp_path, monkeypatch, pools):
+        # (7,11,2) at chunk size 64 writes a checkpoint every 4096 classes; it
+        # is stopped after three and resumed at chunk size 1000, whose chunk
+        # 12 holds the cursor 12288, on two workers
+        path = tmp_path / "rechunked.ckpt.json"
+        cfg = SurveyConfig(7, 11, 2, chunk_size=64, checkpoint_path=path)
+        real, written = survey_module.save_checkpoint, []
+
+        class Stopped(Exception):
+            pass
+
+        def stop_after_three(p, cp):
+            real(p, cp)
+            written.append(cp.next_index)
+            if len(written) == 3:
+                raise Stopped
+
+        with monkeypatch.context() as m:
+            m.setattr(survey_module, "save_checkpoint", stop_after_three)
+            with pytest.raises(Stopped):
+                run_survey(cfg)
+        assert written == [4096, 8192, 12288]
+        assert "chunk_size" not in json.loads(path.read_text())["meta"]
+        resumed = run_survey(dataclasses.replace(cfg, chunk_size=1000, threads=2))
+        assert result_fingerprint(resumed) == result_fingerprint(run_survey(SurveyConfig(7, 11, 2)))
+        assert load_checkpoint(path).next_index == class_count(7, 11) // 4
         assert pools == [2]
 
     def test_range_mismatch_refused(self, tmp_path):
@@ -496,13 +554,13 @@ class TestCheckpointing:
             run_survey(SurveyConfig(3, 6, 1, chunk_size=4, checkpoint_path=path))
 
     # (4,8) has 512 classes in 32 chunks of 16.  The whole-space survey
-    # counts chunks 0..7, the prefix; the range survey of all 512 counts
-    # every chunk, also those whose mirror, 16 chunks away, is done.
-    # lower-of-a-pair is chunk 0 done without its mirror, first-batch the
+    # counts classes 0..127, the prefix; the range survey of all 512 counts
+    # every class, also those whose mirror, 256 classes away, is counted.
+    # lower-of-a-pair is chunk 0 counted without its mirror, first-batch the
     # first batch of two chunks, and prefix the whole prefix, none pending.
     @pytest.mark.parametrize(
         "cursor,index_range",
-        [(16, (0, 512)), (1, (0, 512)), (2, None), (4, None), (8, None)],
+        [(256, (0, 512)), (16, (0, 512)), (32, None), (64, None), (128, None)],
         ids=["lower-half", "lower-of-a-pair", "first-batch", "lower-half-of-the-prefix", "prefix"],
     )
     def test_resume_counts_each_chunk_once(self, tmp_path, counted, cursor, index_range):
@@ -510,8 +568,8 @@ class TestCheckpointing:
         cfg = SurveyConfig(4, 8, 1, chunk_size=16, checkpoint_path=path, index_range=index_range)
         table = _survey_table(cfg, class_count(4, 8))
         hist, alternating = Counter(), None
-        for cid in range(cursor):
-            chunk_hist, chunk_alt = _run_chunk(cfg, table, cid * 16, cid * 16 + 16)
+        for a in range(0, cursor, 16):
+            chunk_hist, chunk_alt = _run_chunk(cfg, table, a, a + 16)
             hist.update(chunk_hist)
             alternating = alternating if chunk_alt is None else chunk_alt
         save_checkpoint(path, Checkpoint(_checkpoint_meta(cfg), cursor, hist, alternating))
@@ -521,9 +579,9 @@ class TestCheckpointing:
         # every pending class of the counted ones is counted once, and none
         # that the checkpoint holds
         end = 512 if index_range else 128
-        assert counted == list(range(cursor * 16, end))
+        assert counted == list(range(cursor, end))
         assert resumed == result_fingerprint(run_survey(SurveyConfig(4, 8, 1, index_range=index_range)))
-        assert load_checkpoint(path).next_chunk == end // 16
+        assert load_checkpoint(path).next_index == end
 
     def test_quotient_recorded(self, tmp_path):
         metas = {}
@@ -545,7 +603,7 @@ class TestCheckpointing:
         assert "quotient" not in metas["tiny"] and metas["tiny"]["range"] == [0, 16]
 
     def test_quotient_two_checkpoint_refused(self, tmp_path):
-        # chunk 0 of the lower half of the space, as whole-space surveys
+        # the first 16 classes of the lower half of the space, as whole-space surveys
         # counted (4,8) before they counted one class in 16, (11,13) before
         # n = r+2 did too, and (3,6) before it counted every class
         for r, n, k in [(4, 8, 1), (11, 13, 2), (3, 6, 1)]:
@@ -555,7 +613,7 @@ class TestCheckpointing:
             meta = dict(_checkpoint_meta(cfg), quotient=2, range=[0, half])
             first = SurveyConfig(r, n, k, index_range=(0, min(16, half)))
             hist, alternating = _run_chunk(first, None, 0, min(16, half))
-            save_checkpoint(path, Checkpoint(meta, 1, hist, alternating))
+            save_checkpoint(path, Checkpoint(meta, min(16, half), hist, alternating))
             assert load_checkpoint(path).meta == meta
             with pytest.raises(CheckpointMismatchError, match=f"half{n}.ckpt.json"):
                 run_survey(cfg)
@@ -634,12 +692,19 @@ class TestTableEngine:
         assert pools == [2] * (threads > 1)
 
     def test_complete_checkpoint_builds_no_table(self, tmp_path, monkeypatch, pools):
-        cfg = SurveyConfig(4, 7, 1, threads=2, chunk_size=7, checkpoint_path=tmp_path / "c.json")
-        first = result_fingerprint(run_survey(cfg))
+        # the range [5, 251) ends inside chunk 62 at chunk size 4, so its
+        # complete cursor is on no chunk's end
+        ranged = tmp_path / "end.json"
+        cfgs = [
+            SurveyConfig(4, 7, 1, threads=2, chunk_size=7, checkpoint_path=tmp_path / "c.json"),
+            SurveyConfig(3, 8, 1, threads=2, chunk_size=4, index_range=(5, 251), checkpoint_path=ranged),
+        ]
+        first = [result_fingerprint(run_survey(cfg)) for cfg in cfgs]
+        assert load_checkpoint(ranged).next_index == 251 and _chunk_jobs(cfgs[1], 251) == []
         built = self.record_tables(monkeypatch)
-        assert result_fingerprint(run_survey(cfg)) == first
+        assert [result_fingerprint(run_survey(cfg)) for cfg in cfgs] == first
         assert built == []
-        assert pools == [2]  # the resume pass has no batch and starts no pool
+        assert pools == [2, 2]  # the resume passes have no batch and start no pool
 
     def test_forkserver_workers_build_their_own_table(self):
         # A table in the pool's initargs would be pickled into every worker
@@ -729,35 +794,37 @@ class TestSelfChecks:
         save_checkpoint(path, Checkpoint(_checkpoint_meta(cfg), cursor, Counter(hist), alternating))
 
     def test_histogram_short_of_completed_chunks_refused(self, tmp_path):
-        # chunk 0 of 4x7 covers all 64 classes; a 1-class histogram is not its result
+        # a cursor past the 16 classes that stand for the 64 of (4,7); a
+        # 1-class histogram is not their result
         path = tmp_path / "short.ckpt.json"
         cfg = SurveyConfig(4, 7, 1, checkpoint_path=path)
-        self.write(path, cfg, 1, {4: 1}, 4)
+        self.write(path, cfg, 16, {4: 1}, 4)
         with pytest.raises(CorruptCheckpointError, match="short.ckpt.json.*counts 1 classes"):
             run_survey(cfg)
 
-    # chunks of 4 over [5, 14): chunk 1 holds 5..7, chunk 3 holds 12 and 13
-    @pytest.mark.parametrize("cursor,classes", [(1, 0), (2, 3), (3, 7), (4, 9)])
-    def test_histogram_must_total_the_classes_below_the_cursor(self, tmp_path, cursor, classes):
+    # chunks of 4 over [5, 14): chunk 1 holds 5..7, chunk 3 holds 12 and 13;
+    # the cursor is where chunk ``chunk`` starts, or the range's end
+    @pytest.mark.parametrize("chunk,classes", [(1, 0), (2, 3), (3, 7), (4, 9)])
+    def test_histogram_must_total_the_classes_below_the_cursor(self, tmp_path, chunk, classes):
         path = tmp_path / "cut.ckpt.json"
         cfg = SurveyConfig(3, 6, 1, chunk_size=4, checkpoint_path=path, index_range=(5, 14))
+        cursor = min(14, max(5, 4 * chunk))
         for wrong in (classes + 1, classes + 4):
             self.write(path, cfg, cursor, {2: wrong}, None)
             with pytest.raises(
                 CorruptCheckpointError,
-                match=rf"cut.ckpt.json.*counts {wrong} classes, but the chunks below {cursor} cover {classes}",
+                match=rf"cut.ckpt.json.*counts {wrong} classes, not the {classes} of \[5,{cursor}\)",
             ):
                 load_checkpoint(path)
         self.write(path, cfg, cursor, {2: classes} if classes else {}, None)
-        assert load_checkpoint(path).next_chunk == cursor
+        assert load_checkpoint(path).next_index == cursor
 
     def test_chunk_id_past_the_last_chunk_refused(self, tmp_path):
-        # the 16 classes of (3,6) at chunk size 4, each counted, are chunks 0
-        # to 3, so the cursor is at most 4
+        # (3,6) counts each of its 16 classes, so the cursor is at most 16
         path = tmp_path / "past.ckpt.json"
         cfg = SurveyConfig(3, 6, 1, chunk_size=4, checkpoint_path=path)
-        self.write(path, cfg, 5, {2: 16}, 2)
-        with pytest.raises(CorruptCheckpointError, match=r"past.ckpt.json.*next_chunk 5 .*\[0,4\]"):
+        self.write(path, cfg, 17, {2: 17}, 2)
+        with pytest.raises(CorruptCheckpointError, match=r"past.ckpt.json.*next_index 17 .*\[0,16\]"):
             load_checkpoint(path)
 
     def test_checkpoint_directory_checked_before_counting(self, tmp_path, monkeypatch):
@@ -776,45 +843,62 @@ class TestSelfChecks:
         with pytest.raises(ValueError, match=f"checkpoint {re.escape(str(tmp_path))}: it is a directory"):
             run_survey(SurveyConfig(4, 8, 1, checkpoint_path=tmp_path))
 
+    def test_checkpoint_temporary_directory_checked_before_counting(self, tmp_path, monkeypatch):
+        # every write goes to the temporary file first, then is renamed
+        path = tmp_path / "cp.json"
+        (tmp_path / "cp.json.tmp").mkdir()
+        monkeypatch.setattr(survey_module, "_run_chunk", lambda *args: pytest.fail("counted"))
+        monkeypatch.setattr(sign_core, "violation_table", lambda *args: pytest.fail("built"))
+        with pytest.raises(
+            ValueError, match=f"checkpoint {re.escape(str(path))}: its temporary file .*cp.json.tmp is a directory"
+        ):
+            run_survey(SurveyConfig(4, 8, 1, checkpoint_path=path))
+        assert not path.exists()
+
     def test_chunk_id_out_of_range_refused(self, tmp_path):
-        # chunks of 4 over [5, 14) are 1, 2 and 3, so the cursor is 1 to 4;
-        # 2.0 and true equal 2 and 1, but no survey writes them
+        # the cursor of a survey of [5, 14) is 5 to 14; 8.0 equals 8, but no
+        # survey writes it
         path = tmp_path / "ids.ckpt.json"
         cfg = SurveyConfig(3, 6, 1, chunk_size=4, checkpoint_path=path, index_range=(5, 14))
-        for cursor in [0, 5, -1, 2.0, True, "2", 1.5, None, [2]]:
+        for cursor in [4, 15, -1, 8.0, True, "8", 7.5, None, [8]]:
             self.write(path, cfg, cursor, {2: 3}, None)
             with pytest.raises(
                 CorruptCheckpointError,
-                match=rf"ids.ckpt.json.*next_chunk {re.escape(repr(cursor))} .*\[1,4\]",
+                match=rf"ids.ckpt.json.*next_index {re.escape(repr(cursor))} .*\[5,14\]",
             ):
                 load_checkpoint(path)
 
     def test_checkpoint_with_a_list_of_chunk_ids_refused(self, tmp_path):
-        # as written before checkpoints kept a cursor: chunk 0 of (3,6) at chunk size 4 done
+        # chunk 0 of (3,6) at chunk size 4 done, as written before checkpoints
+        # kept a cursor, and before the cursor was a class index
         path = tmp_path / "listed.ckpt.json"
         cfg = SurveyConfig(3, 6, 1, chunk_size=4, checkpoint_path=path)
-        path.write_text(json.dumps({
-            "meta": _checkpoint_meta(cfg), "completed_chunks": [0],
-            "partial_histogram": {"2": 4}, "partial_max": {"alternating_class_f": 2},
-        }))
-        for attempt in (lambda: load_checkpoint(path), lambda: run_survey(cfg)):
-            with pytest.raises(CorruptCheckpointError, match="listed.ckpt.json.*next_chunk"):
-                attempt()
+        for chunks in ({"completed_chunks": [0]}, {"next_chunk": 1}):
+            path.write_text(json.dumps({
+                "meta": dict(_checkpoint_meta(cfg), chunk_size=4), **chunks,
+                "partial_histogram": {"2": 4}, "partial_max": {"alternating_class_f": 2},
+            }))
+            for attempt in (lambda: load_checkpoint(path), lambda: run_survey(cfg)):
+                with pytest.raises(
+                    CorruptCheckpointError, match="listed.ckpt.json is not a survey checkpoint"
+                ):
+                    attempt()
 
     def test_frontier_checkpoint_loads_in_memory_of_its_completed_chunks(self, tmp_path):
-        # half and nine tenths of the 2^21 chunks that count the prefix of
-        # (6,14): the file and its load cost the same at any progress
+        # half and nine tenths of the 2^33 classes of the prefix of (6,14),
+        # 2^21 default-size chunks: the file and its load cost the same at
+        # any progress
         path = tmp_path / "frontier.ckpt.json"
         cfg = SurveyConfig(6, 14, 2, checkpoint_path=path)
-        for cursor in (1 << 20, 15 << 17):
-            self.write(path, cfg, cursor, {2: cursor * DEFAULT_CHUNK_SIZE}, 2)
+        for cursor in (1 << 32, 15 << 29):
+            self.write(path, cfg, cursor, {2: cursor}, 2)
             tracemalloc.start()
             try:
                 loaded = load_checkpoint(path)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert loaded.next_chunk == cursor
+            assert loaded.next_index == cursor
             assert path.stat().st_size < 1024
             assert peak < 1 << 20
 
@@ -843,21 +927,21 @@ class TestSelfChecks:
     def test_histogram_and_alternating_f_must_be_integers(
         self, tmp_path, histogram, alternating, message
     ):
-        # chunk 0 of (3,6) at chunk size 4 holds class 0 and 4 classes; each
-        # value is refused before the totals are checked
+        # classes 0..3 of (3,6) counted, class 0 among them; each value is
+        # refused before the totals are checked
         path = tmp_path / "values.ckpt.json"
         cfg = SurveyConfig(3, 6, 1, chunk_size=4, checkpoint_path=path)
         path.write_text(json.dumps({
-            "meta": _checkpoint_meta(cfg), "next_chunk": 1,
-            "partial_histogram": histogram, "partial_max": {"alternating_class_f": alternating},
+            "meta": _checkpoint_meta(cfg), "next_index": 4,
+            "partial_histogram": histogram, "alternating_class_f": alternating,
         }))
         with pytest.raises(CorruptCheckpointError, match=rf"values.ckpt.json.*{message}"):
             load_checkpoint(path)
         with pytest.raises(CorruptCheckpointError, match="values.ckpt.json"):
             run_survey(cfg)
 
-    # chunks is the range of chunks done: chunk 0, or none
-    @pytest.mark.parametrize("chunks,hist,alternating", [(range(1), {2: 4}, None), (range(0), {}, 2)])
+    # chunks is the range of classes counted: those of chunk 0, or none
+    @pytest.mark.parametrize("chunks,hist,alternating", [(range(4), {2: 4}, None), (range(0), {}, 2)])
     def test_alternating_f_must_match_chunk_zero(self, tmp_path, chunks, hist, alternating):
         path = tmp_path / "alt.ckpt.json"
         cfg = SurveyConfig(3, 6, 1, chunk_size=4, checkpoint_path=path)
@@ -908,10 +992,28 @@ class TestSelfChecks:
         ("threads", 0, "threads must be >= 1, got 0"),
         ("chunk_size", 0, "chunk size must be >= 1, got 0"),
         ("crosscheck_samples", -2, "crosscheck sample count must be >= 0, got -2"),
+        ("threads", 1.5, "threads must be an integer, got threads=1.5"),
+        ("chunk_size", 2.5, "chunk_size must be an integer, got chunk_size=2.5"),
+        ("k", 1.0, "k must be an integer, got k=1.0"),
+        ("index_range", (0, 2.5), r"index_range must be two integers, got index_range=\(0, 2.5\)"),
+        ("index_range", (0.0, 4), r"index_range must be two integers, got index_range=\(0.0, 4\)"),
+        ("index_range", (0, 2, 4), r"index_range must be two integers, got index_range=\(0, 2, 4\)"),
     ])
     def test_bad_setting_named_with_its_value(self, setting, value, message):
         with pytest.raises(ValueError, match=message):
             SurveyConfig(**{"rank": 3, "elements": 5, "k": 1, setting: value})
+
+    def test_numpy_integer_settings_accepted(self, tmp_path):
+        # kept as ints, so that the checkpoint and the result are written as theirs
+        path = tmp_path / "numpy.ckpt.json"
+        cfg = SurveyConfig(
+            np.int64(3), np.int32(5), np.int64(1), threads=np.int64(1), chunk_size=np.int16(2),
+            index_range=(np.int64(0), np.uint8(4)), checkpoint_path=path,
+        )
+        assert {type(v) for v in (cfg.rank, cfg.elements, cfg.k, cfg.chunk_size, *cfg.index_range)} == {int}
+        want = run_survey(SurveyConfig(3, 5, 1, index_range=(0, 4)))
+        assert result_fingerprint(run_survey(cfg)) == result_fingerprint(want)
+        assert load_checkpoint(path).next_index == 4
 
     def test_checkpoint_synced_before_rename(self, tmp_path, monkeypatch):
         events = []
@@ -924,7 +1026,7 @@ class TestSelfChecks:
         cfg = SurveyConfig(3, 5, 1, checkpoint_path=path)
         save_checkpoint(path, Checkpoint(_checkpoint_meta(cfg), 0, Counter(), None))
         assert events == ["fsync", "replace"]
-        assert load_checkpoint(path).next_chunk == 0
+        assert load_checkpoint(path).next_index == 0
 
 
 class TestTravelsSurvey:
@@ -1097,6 +1199,20 @@ class TestResultJson:
         ]
         again = run_survey(SurveyConfig(3, 5, 1))
         assert result_fingerprint(result) == result_fingerprint(again)
+
+    def test_readme_lists_the_stable_fields(self):
+        # "name (note)" items split at the commas outside the notes; a note
+        # that names --range marks a field only a range survey has
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        listed = re.search(r"The result JSON fields are stable:(.*?)\.\s", readme, re.S).group(1)
+        only_in_a_range = {}
+        for item in re.split(r",(?![^(]*\))", " ".join(listed.split())):
+            name, _, note = item.strip().removeprefix("and ").partition(" ")
+            only_in_a_range[name] = "--range" in note
+        whole = run_survey(SurveyConfig(3, 5, 1)).to_json_dict()
+        ranged = run_survey(SurveyConfig(3, 5, 1, index_range=(1, 3))).to_json_dict()
+        assert set(whole) == {name for name, ranged_only in only_in_a_range.items() if not ranged_only}
+        assert set(ranged) == set(only_in_a_range)
 
     def test_histogram_sorted_by_f(self):
         payload = run_survey(SurveyConfig(4, 7, 1)).to_json_dict()
