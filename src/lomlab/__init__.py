@@ -47,7 +47,6 @@ from .sign_core import (
 from .survey import (
     PRESETS,
     CheckpointMismatchError,
-    EngineMismatchError,
     SurveyConfig,
     SurveyResult,
     engine_crosscheck,

@@ -5,7 +5,7 @@ inspection, f counting, plain-travel enumeration, chessboard encoding and
 class representatives, formula evaluation, per-class surveys, preset
 verification, and engine cross-checks.  Every subcommand accepts ``--json``
 for stable machine-readable output.  Exit codes: 0 success, 1 usage or I/O
-error, 2 verification failure.
+error, 2 a failed verify or crosscheck.
 
 Each ``_cmd_*`` handler returns ``(payload, lines, code)``: the dict emitted
 under ``--json``, the lines printed otherwise, and the exit code.  ``main``
@@ -277,18 +277,28 @@ def _cmd_formulas(args):
 
 
 def _cmd_survey(args):
-    # checked before counting, so that a long survey's result is not lost
-    if args.out and Path(args.out).is_dir():
-        raise ValueError(f"--out: cannot write {args.out}: it is a directory")
-    if args.out and not Path(args.out).parent.is_dir():
-        raise ValueError(
-            f"--out: cannot write {args.out}: {Path(args.out).parent} is not a directory"
-        )
-    if args.out and args.checkpoint and Path(args.out).resolve() == Path(args.checkpoint).resolve():
-        raise ValueError(
-            f"--out {args.out} and --checkpoint {args.checkpoint} name one file, "
-            "which the result would overwrite"
-        )
+    # checked before counting, so that a long survey's result is not lost; the
+    # result is written to OUT.tmp, synced, then renamed over OUT
+    if args.out:
+        out = Path(args.out)
+        tmp = survey._temporary(out)
+        if out.is_dir():
+            raise ValueError(f"--out: cannot write {args.out}: it is a directory")
+        if not out.parent.is_dir():
+            raise ValueError(f"--out: cannot write {args.out}: {out.parent} is not a directory")
+        if tmp.is_dir():
+            raise ValueError(f"--out: cannot write {args.out}: its temporary file {tmp} is a directory")
+        checkpoint = args.checkpoint and Path(args.checkpoint).resolve()
+        if out.resolve() == checkpoint:
+            raise ValueError(
+                f"--out {args.out} and --checkpoint {args.checkpoint} name one file, "
+                "which the result would overwrite"
+            )
+        if tmp.resolve() == checkpoint:
+            raise ValueError(
+                f"--out {args.out} and --checkpoint {args.checkpoint}: the result's temporary "
+                f"file {tmp} is the checkpoint, which writing the result would overwrite"
+            )
     cfg = survey.SurveyConfig(
         rank=args.rank,
         elements=args.elements,
@@ -298,12 +308,11 @@ def _cmd_survey(args):
         chunk_size=args.chunk_size,
         checkpoint_path=args.checkpoint,
         index_range=_parse_range(args.range) if args.range else None,
-        crosscheck_samples=args.crosscheck_samples,
     )
     result = survey.run_survey(cfg)
     payload = result.to_json_dict()
     if args.out:
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
+        survey._write_atomically(args.out, json.dumps(payload, indent=2) + "\n")
     lines = [
         f"rank {result.rank}, elements {result.elements}, k {result.k}, engine {result.engine}",
         f"classes: {result.class_count} (surveyed {result.surveyed})",
@@ -418,8 +427,6 @@ def build_parser() -> _Parser:
         "without it the circuits engine counts one class in 16 and scales the "
         "histogram to the whole space, so 0..N, N the class count, is the full-space check",
     )
-    p.add_argument("--crosscheck-samples", type=int, default=0,
-                   help="verify this many sampled classes against the travels engine first")
     p.set_defaults(func=_cmd_survey)
 
     p = sub.add_parser("verify", parents=[common, run],
@@ -447,9 +454,6 @@ def main(argv=None) -> int:
     try:
         payload, lines, code = args.func(args)
         print(json.dumps(payload, indent=2) if args.json else "\n".join(lines))
-    except survey.EngineMismatchError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

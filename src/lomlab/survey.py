@@ -64,7 +64,6 @@ __all__ = [
     "Checkpoint",
     "CheckpointMismatchError",
     "CorruptCheckpointError",
-    "EngineMismatchError",
     "run_survey",
     "PRESETS",
     "verify_case",
@@ -88,10 +87,6 @@ class CorruptCheckpointError(RuntimeError):
     """Raised when a checkpoint file is unreadable or contradicts itself."""
 
 
-class EngineMismatchError(RuntimeError):
-    """Raised when the circuits and travels engines disagree on a class."""
-
-
 # ---------------------------------------------------------------------------
 # configuration and results
 # ---------------------------------------------------------------------------
@@ -106,12 +101,11 @@ class SurveyConfig:
     chunk_size: int = DEFAULT_CHUNK_SIZE
     checkpoint_path: str | Path | None = None
     index_range: tuple[int, int] | None = None
-    crosscheck_samples: int = 0
 
     def __post_init__(self):
         # first, so that a float is refused here, named, and not in run_survey,
         # and a numpy integer is kept as an int, which json can write
-        for name in ("rank", "elements", "k", "threads", "chunk_size", "crosscheck_samples"):
+        for name in ("rank", "elements", "k", "threads", "chunk_size"):
             value = getattr(self, name)
             try:
                 object.__setattr__(self, name, operator.index(value))
@@ -158,10 +152,6 @@ class SurveyConfig:
                 )
             if lo == hi:
                 raise ValueError(f"index range [{lo},{hi}) holds no class")
-        if self.crosscheck_samples < 0:
-            raise ValueError(
-                f"crosscheck sample count must be >= 0, got {self.crosscheck_samples}"
-            )
 
     def bounds(self) -> tuple[int, int]:
         if self.index_range is not None:
@@ -255,15 +245,19 @@ def _temporary(path: Path) -> Path:
     return path.with_name(path.name + ".tmp")
 
 
-def save_checkpoint(path: str | Path, cp: Checkpoint) -> None:
-    """Write atomically: temp file in the same directory, synced, then renamed."""
+def _write_atomically(path: str | Path, text: str) -> None:
+    """Write to a temp file in the same directory, sync it, then rename it over ``path``."""
     path = Path(path)
     tmp = _temporary(path)
     with open(tmp, "w") as fh:
-        fh.write(json.dumps(cp.to_json_dict(), separators=(",", ":")) + "\n")
+        fh.write(text)
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
+
+
+def save_checkpoint(path: str | Path, cp: Checkpoint) -> None:
+    _write_atomically(path, json.dumps(cp.to_json_dict(), separators=(",", ":")) + "\n")
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -560,14 +554,6 @@ def run_survey(cfg: SurveyConfig) -> SurveyResult:
             raise ValueError(f"checkpoint {path}: its temporary file {tmp} is a directory")
     lo, hi = cfg.bounds()
     _, _, first, end = _counted(cfg)
-
-    if cfg.crosscheck_samples:
-        report = engine_crosscheck(cfg.rank, cfg.elements, cfg.k, cfg.crosscheck_samples, 0)
-        if not report.passed:
-            raise EngineMismatchError(
-                f"engines disagree at class indices "
-                f"{[m['index'] for m in report.mismatches]}"
-            )
 
     meta = _checkpoint_meta(cfg)
     checkpoint = Checkpoint(meta, first, Counter(), None)

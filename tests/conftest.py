@@ -20,6 +20,14 @@ def random_matrix(rng: random.Random, r: int, n: int) -> SignMatrix:
     )
 
 
+def plus_except(r: int, n: int, flipped) -> SignMatrix:
+    """The all-plus r x n matrix with the 1-based entries (i, j) in ``flipped`` negated."""
+    rows = [[1] * n for _ in range(r)]
+    for i, j in flipped:
+        rows[i - 1][j - 1] = -1
+    return SignMatrix.from_rows(rows)
+
+
 def all_subsets(n: int):
     for size in range(n + 1):
         yield from combinations(range(1, n + 1), size)

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import brute_force_count, random_matrix
+from conftest import brute_force_count, plus_except, random_matrix
 from lomlab.chessboard import (
     ENCODING_VERSION,
     Chessboard,
@@ -23,13 +23,6 @@ from lomlab.sign_core import (
     reorient_columns,
     reorient_rows,
 )
-
-
-def plus_except(r, n, flipped):
-    rows = [[1] * n for _ in range(r)]
-    for i, j in flipped:
-        rows[i - 1][j - 1] = -1
-    return SignMatrix.from_rows(rows)
 
 
 class TestChessboardOf:

@@ -234,6 +234,24 @@ class TestSurveyCommands:
         assert payload["class_count"] == 4
         assert payload["maximizer_count_total"] >= 1
 
+    def test_survey_out_synced_before_rename(self, capsys, tmp_path, monkeypatch):
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+        monkeypatch.setattr(os, "fsync", lambda fd: (events.append("fsync"), real_fsync(fd)))
+        monkeypatch.setattr(
+            os, "replace", lambda a, b: (events.append(("replace", a, b)), real_replace(a, b))
+        )
+        out_path = tmp_path / "result.json"
+        code, out, _ = run_cli(
+            capsys,
+            "survey", "--rank", "3", "--elements", "5", "--k", "1",
+            "--out", str(out_path), "--json",
+        )
+        assert code == 0
+        assert events == ["fsync", ("replace", tmp_path / "result.json.tmp", out_path)]
+        assert out_path.read_text() == out
+        assert list(tmp_path.iterdir()) == [out_path]
+
     def test_survey_json_stable(self, capsys):
         def one():
             code, out, _ = run_cli(
@@ -247,19 +265,6 @@ class TestSurveyCommands:
             return payload
 
         assert one() == one()
-
-    def test_survey_engine_mismatch_exits_2_before_counting(self, capsys, tmp_path, monkeypatch):
-        f_via_travels = lomlab.travels.f_via_travels
-        monkeypatch.setattr(lomlab.travels, "f_via_travels", lambda A, k: f_via_travels(A, k) + 2)
-        out_path = tmp_path / "result.json"
-        code, out, err = run_cli(
-            capsys,
-            "survey", "--rank", "3", "--elements", "5", "--k", "1",
-            "--crosscheck-samples", "2", "--out", str(out_path),
-        )
-        assert (code, out) == (2, "")
-        assert err == "verification failure: engines disagree at class indices [1, 3]\n"
-        assert not out_path.exists()
 
     def test_survey_c_unknown_below_rank_2k_plus_1(self, capsys):
         code, out, _ = run_cli(
@@ -314,7 +319,7 @@ class TestSurveyCommands:
         assert code == 0
         assert payload["passed"] is True and payload["violations"] == []
 
-    def test_crosscheck_samples_a_space_past_sys_maxsize(self, capsys):
+    def test_crosscheck_draws_from_a_space_past_sys_maxsize(self, capsys):
         # (12,24) has about 2^121 classes; zero samples count none of them
         for extra, issues in (((), "mismatches"), (("--minors",), "violations")):
             code, out, err = run_cli(
@@ -340,6 +345,20 @@ class TestSurveyCommands:
         assert code == 2
         assert f"violation: {violation}\n" in out.splitlines(keepends=True)
         assert out.endswith("result: FAIL (1 violations)\n")
+
+    def test_crosscheck_engine_mismatch_exits_2(self, capsys, monkeypatch):
+        f_via_travels = lomlab.travels.f_via_travels
+        monkeypatch.setattr(lomlab.travels, "f_via_travels", lambda A, k: f_via_travels(A, k) + 2)
+        code, out, _ = run_cli(
+            capsys,
+            "crosscheck", "--rank", "3", "--elements", "5", "--k", "1",
+            "--samples", "2", "--seed", "0",
+        )
+        assert code == 2
+        lines = out.splitlines()
+        for index in (1, 3):
+            assert any(line.startswith(f"mismatch: {{'index': {index}, ") for line in lines), index
+        assert out.endswith("result: FAIL (2 mismatches)\n")
 
 
 class TestErrorHandling:
@@ -449,6 +468,33 @@ class TestErrorHandling:
             assert code == 1 and out_text == ""
             assert f"--out {out} and --checkpoint {path} name one file" in err
         assert not path.exists()
+
+    def test_out_temporary_directory_refused_before_counting(self, capsys, tmp_path, monkeypatch):
+        out, tmp = tmp_path / "result.json", tmp_path / "result.json.tmp"
+        tmp.mkdir()
+        monkeypatch.setattr(survey_module, "_run_chunk", lambda *args: 1 / 0)
+        code, out_text, err = run_cli(
+            capsys, "survey", "--rank", "3", "--elements", "5", "--k", "1", "--out", str(out)
+        )
+        assert code == 1 and out_text == ""
+        assert f"--out: cannot write {out}: its temporary file {tmp} is a directory" in err
+        assert list(tmp_path.iterdir()) == [tmp] and list(tmp.iterdir()) == []
+
+    def test_out_temporary_naming_the_checkpoint_refused_before_counting(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # writing OUT.tmp would overwrite the checkpoint, and the rename would take it away
+        (tmp_path / "sub").mkdir()
+        path = tmp_path / "f.json.tmp"
+        monkeypatch.setattr(survey_module, "_run_chunk", lambda *args: 1 / 0)
+        for out in (tmp_path / "f.json", tmp_path / "sub" / ".." / "f.json"):
+            code, out_text, err = run_cli(
+                capsys, "survey", "--rank", "3", "--elements", "5", "--k", "1",
+                "--checkpoint", str(path), "--out", str(out),
+            )
+            assert code == 1 and out_text == ""
+            assert f"--out {out} and --checkpoint {path}: the result's temporary file" in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "sub"]
 
     def test_checkpoint_directory_checked_before_counting(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "missing" / "cp.json"
@@ -593,7 +639,7 @@ class TestErrorHandling:
             "chessboard": matrix,
             "representative": {*dims, "--index"},
             "formulas": {*dims, "--k"},
-            "survey": {*dims, "--k", *run, "--engine", "--out", "--range", "--crosscheck-samples"},
+            "survey": {*dims, "--k", *run, "--engine", "--out", "--range"},
             "verify": {*run, "--case"},
             "crosscheck": {*dims, "--k", "--samples", "--seed", "--minors"},
         }

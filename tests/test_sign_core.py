@@ -13,6 +13,7 @@ from conftest import (
     all_representatives,
     brute_force_count,
     brute_force_o_vector,
+    plus_except,
     random_matrix,
 )
 import lomlab.sign_core as sign_core
@@ -54,13 +55,6 @@ def sign_matrices(draw, min_r=2, max_r=4, max_n=7, min_gap=1):
             max_size=r,
         )
     )
-    return SignMatrix.from_rows(rows)
-
-
-def plus_except(r, n, flipped):
-    rows = [[1] * n for _ in range(r)]
-    for i, j in flipped:
-        rows[i - 1][j - 1] = -1
     return SignMatrix.from_rows(rows)
 
 

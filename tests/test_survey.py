@@ -124,10 +124,6 @@ class TestRunSurvey:
         json_payload = lower.to_json_dict()
         assert json_payload["range"] == [0, 5]
 
-    def test_crosscheck_hook_runs_clean(self):
-        result = run_survey(SurveyConfig(3, 5, 1, crosscheck_samples=4))
-        assert result.max_f == 2
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SurveyConfig(3, 3, 1)
@@ -991,7 +987,7 @@ class TestSelfChecks:
         ("k", -1, "k must be non-negative, got k=-1"),
         ("threads", 0, "threads must be >= 1, got 0"),
         ("chunk_size", 0, "chunk size must be >= 1, got 0"),
-        ("crosscheck_samples", -2, "crosscheck sample count must be >= 0, got -2"),
+        ("elements", 5.0, "elements must be an integer, got elements=5.0"),
         ("threads", 1.5, "threads must be an integer, got threads=1.5"),
         ("chunk_size", 2.5, "chunk_size must be an integer, got chunk_size=2.5"),
         ("k", 1.0, "k must be an integer, got k=1.0"),
