@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -37,13 +38,16 @@ __all__ = [
     "positivizing_set",
 ]
 
-# Column masks are int64; one spare bit below the sign bit takes the left
-# shift in _boundary.
+# Column masks are int16, int32 or int64, the narrowest that keeps one spare
+# bit below the sign bit, so that the left shift in _boundary never reaches
+# it; int64 holds 62 columns.
 MAX_MASK_ELEMENTS = 62
 # Column sets walked per pass; travels with a positive walk leave the grid
-# between passes.  32 was the fastest of 4 to 1000 at r7n11k2, r8n11k3 and
-# r9n12k3.
-SET_GROUP = 32
+# between passes.  Swept from 4 to 1000 (one core, median of 11 shuffled
+# rounds over 32 seeded classes): 64 was the fastest at r8n11k3 and r9n12k3,
+# 0.46 and 1.16 ms per class against 0.62 and 1.51 ms at 32, and r7n11k2
+# read 0.29-0.31 ms at every size from 24 to 128.
+SET_GROUP = 64
 # Largest grid of (plain travel, column set) pairs walked at once.
 GRID_MAX_PAIRS = 1 << 20
 
@@ -196,9 +200,9 @@ def realize_plain_travel(A: SignMatrix, P: PlainTravel) -> tuple[SignMatrix, fro
     return SignMatrix(tuple(tuple(v * f for v, f in zip(line, sign)) for line in entries)), R
 
 
-def _subset_masks(first: int, width: int, most: int) -> np.ndarray:
+def _subset_masks(first: int, width: int, most: int, dtype) -> np.ndarray:
     """Bitmasks of every set of at most ``most`` bits among first..width-1."""
-    masks = np.zeros(1, dtype=np.int64)
+    masks = np.zeros(1, dtype=dtype)
     for b in range(first, width):
         masks = np.concatenate([masks, masks[np.bitwise_count(masks) < most] | (1 << b)])
     return masks
@@ -210,11 +214,35 @@ def _boundary(flips: np.ndarray, n: int) -> np.ndarray:
     return (flips ^ (flips << 1)) & ((1 << n) - 2)
 
 
+@lru_cache(maxsize=16)
+def _plan(r: int, n: int, k: int, group: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """What counting an r x n matrix at k needs apart from its entries.
+
+    Returns the row every plain travel is in at each column c = 1..n-1 (bit
+    c, the sign change between 1-based columns c and c+1) and whether it
+    drops there, both (n-1, travels), and the ``_boundary`` masks of every
+    column set of at most k columns, by increasing size, ``group`` sets per
+    array.  All arrays are read-only and of the narrowest signed integer
+    whose bits below the sign bit hold n columns and a spare bit: int16 up to
+    n = 14, int32 up to 30, int64 up to 62.
+    """
+    dtype = next(t for t in (np.int16, np.int32, np.int64) if n <= np.iinfo(t).bits - 2)
+    drops = _subset_masks(1, n, r - 1, dtype)
+    dropped = (drops >> np.arange(1, n, dtype=dtype)[:, None]) & 1
+    rows = np.cumsum(dropped, axis=0, dtype=dtype) - dropped  # drops left of the column
+    sets = _subset_masks(0, n, k, dtype)
+    sets = sets[np.argsort(np.bitwise_count(sets), kind="stable")]
+    reaches = tuple(_boundary(sets[lo:lo + group], n) for lo in range(0, sets.shape[0], group))
+    for a in (rows, dropped, *reaches):
+        a.flags.writeable = False
+    return rows, dropped, reaches
+
+
 def _no_positive_walk(walks: np.ndarray, reach: np.ndarray, out: np.ndarray) -> np.ndarray:
     """For each travel (column of ``walks``, its rows' change masks), whether
     the top travel stays non-positive under every boundary in ``reach``.
 
-    ``out`` is two (travels, sets) int64 grids to work in.
+    ``out`` is two (travels, sets) grids of the masks' dtype to work in.
     """
     m, above = out
     np.bitwise_xor(walks[0, :, None], reach, out=m)  # mismatch columns right of column 1 in row 1
@@ -229,19 +257,21 @@ def _no_positive_walk(walks: np.ndarray, reach: np.ndarray, out: np.ndarray) -> 
 def count_k_neighborly_plain_travels(A: SignMatrix, k: int) -> int:
     """Number of plain travels whose realized reorientation is k-neighborly.
 
-    Counts every travel at once on int64 column bitmasks (bit c-1 stands for
-    column c), so n may be at most MAX_MASK_ELEMENTS.  Bit c of a row's change
-    mask is set where the row's sign changes between columns c and c+1
-    (1-based), so a top travel entering a row at bit j leaves it at the
-    lowest set bit above j.  The left-to-right forcing of
-    ``realize_plain_travel`` runs over all drop sets in n-1 vector steps and
-    gives each travel's flip set R.  Reorienting the columns of a set F XORs
-    every change mask with ``_boundary(F)``, so the top travel of R ^ S is
-    walked row by row with bit arithmetic for every column set S with
-    |S| <= k; a travel counts when none of these walks is positive.  The sets
-    S are taken by increasing size, SET_GROUP at a time, and a travel leaves
-    the grid at its first positive walk; each grid is walked in blocks of at
-    most GRID_MAX_PAIRS (travel, set) pairs, at least one travel per block.
+    Counts every travel at once on column bitmasks (bit c-1 stands for column
+    c) of the dtype ``_plan`` picks, so n may be at most MAX_MASK_ELEMENTS.
+    Bit c of a row's change mask is set where the row's sign changes between
+    columns c and c+1 (1-based), so a top travel entering a row at bit j
+    leaves it at the lowest set bit above j.  The left-to-right forcing of
+    ``realize_plain_travel`` runs over all drop sets at once, as a running
+    XOR down the columns, and gives each travel's flip set R.  Reorienting
+    the columns of a set F XORs every change mask with ``_boundary(F)``, so
+    the top travel of R ^ S is walked row by row with bit arithmetic for
+    every column set S with |S| <= k; a travel counts when none of these
+    walks is positive.  The sets S are taken by increasing size, SET_GROUP at
+    a time, and a travel leaves the grid at its first positive walk; each
+    grid is walked in blocks of at most GRID_MAX_PAIRS (travel, set) pairs,
+    at least one travel per block.  What depends only on (r, n, k) and
+    SET_GROUP is built once, by ``_plan``.
     """
     if k < 0:
         raise ValueError(f"k must be non-negative, got k={k}")
@@ -254,29 +284,24 @@ def count_k_neighborly_plain_travels(A: SignMatrix, k: int) -> int:
         raise ValueError(
             f"the travels count supports at most n={MAX_MASK_ELEMENTS} elements, got n={n}"
         )
-    a = np.array(A.entries, dtype=np.int64)
-    changes = ((a[:, 1:] != a[:, :-1]).astype(np.int64) << np.arange(1, n)).sum(axis=1)
+    rows, dropped, reaches = _plan(r, n, k, SET_GROUP)
+    dtype = dropped.dtype
+    cols = np.arange(1, n, dtype=dtype)[:, None]
+    a = np.array(A.entries, dtype=np.int8)
+    changes = ((a[:, 1:] != a[:, :-1]).astype(dtype) << cols[:, 0]).sum(axis=1, dtype=dtype)
 
-    drops = _subset_masks(1, n, r - 1)
-    row = np.zeros(drops.shape, dtype=np.intp)
-    flip = np.zeros_like(drops)  # whether the current column flips; column 1 never does
-    flips = np.zeros_like(drops)
-    for c in range(1, n):
-        dropped = (drops >> c) & 1
-        flip ^= ((changes[row] >> c) & 1) ^ dropped
-        flips |= flip << c
-        row += dropped
+    # a travel flips bit c when its rows' sign changes XOR its drops over bits
+    # 1..c have odd parity; bit 0 (column 1) never flips
+    bits = ((changes[rows] >> cols) & 1) ^ dropped
+    flips = np.bitwise_or.reduce(np.bitwise_xor.accumulate(bits, axis=0) << cols, axis=0)
 
     walks = changes[:, None] ^ _boundary(flips, n)  # (r, travels)
-    sets = _subset_masks(0, n, k)
-    sets = sets[np.argsort(np.bitwise_count(sets), kind="stable")]
     # one pair of grids serves every block: a block holds at most every travel
     # x SET_GROUP sets, and at most GRID_MAX_PAIRS pairs or one travel's sets
     grids = np.empty(
-        (2, min(walks.shape[1] * SET_GROUP, max(GRID_MAX_PAIRS, SET_GROUP))), dtype=np.int64
+        (2, min(walks.shape[1] * SET_GROUP, max(GRID_MAX_PAIRS, SET_GROUP))), dtype=dtype
     )
-    for lo in range(0, sets.shape[0], SET_GROUP):
-        reach = _boundary(sets[lo:lo + SET_GROUP], n)
+    for reach in reaches:
         block = max(1, GRID_MAX_PAIRS // reach.shape[0])
         keep = np.empty(walks.shape[1], dtype=bool)
         for t in range(0, walks.shape[1], block):

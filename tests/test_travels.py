@@ -2,6 +2,7 @@ import random
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -272,6 +273,32 @@ class TestBatchedCount:
         monkeypatch.setattr(travels_module, "SET_GROUP", group)
         assert [count_k_neighborly_plain_travels(A, k) for A, k in cases] == want
         assert want == [scalar_travel_count(A, k) for A, k in cases]
+
+    @pytest.mark.parametrize(
+        "n,dtype", [(14, np.int16), (15, np.int32), (30, np.int32), (31, np.int64)]
+    )
+    def test_mask_width_edges(self, n, dtype):
+        # the narrowest mask that keeps a spare bit below the sign bit changes
+        # between n = 14 and 15 and between n = 30 and 31
+        assert travels_module._plan(3, n, 1, travels_module.SET_GROUP)[1].dtype == dtype
+        rng = random.Random(n)
+        flipped = [c for c in range(2, n + 1) if rng.random() < 0.5]
+        for A in [alternating_matrix(3, n), reorient_columns(alternating_matrix(3, n), flipped)]:
+            assert count_k_neighborly_plain_travels(A, 1) == scalar_travel_count(A, 1) == 1
+        A = random_matrix(rng, 3, n)
+        assert count_k_neighborly_plain_travels(A, 1) == scalar_travel_count(A, 1)
+
+    def test_cached_plan_is_read_only_and_keyed_by_shape(self):
+        A = representative_of_index(6, 10, 26506)
+        B = representative_of_index(4, 8, 424)
+        cases = [(A, 2), (A, 1), (B, 1), (A, 2)]
+        counts = [count_k_neighborly_plain_travels(M, k) for M, k in cases]
+        assert counts == [scalar_travel_count(M, k) for M, k in cases]
+        assert counts[0] == counts[-1] == 4
+        rows, dropped, reaches = travels_module._plan(6, 10, 2, travels_module.SET_GROUP)
+        for a in (rows, dropped, *reaches):
+            with pytest.raises(ValueError, match="read-only"):
+                a |= 1
 
     def test_more_than_62_columns_refused(self):
         assert count_k_neighborly_plain_travels(alternating_matrix(2, 62), 0) == 62
