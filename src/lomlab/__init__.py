@@ -47,6 +47,7 @@ from .sign_core import (
 from .survey import (
     PRESETS,
     CheckpointMismatchError,
+    CorruptCheckpointError,
     SurveyConfig,
     SurveyResult,
     engine_crosscheck,

@@ -281,13 +281,8 @@ def _cmd_survey(args):
     # result is written to OUT.tmp, synced, then renamed over OUT
     if args.out:
         out = Path(args.out)
+        survey._check_writable(out, f"--out: cannot write {args.out}")
         tmp = survey._temporary(out)
-        if out.is_dir():
-            raise ValueError(f"--out: cannot write {args.out}: it is a directory")
-        if not out.parent.is_dir():
-            raise ValueError(f"--out: cannot write {args.out}: {out.parent} is not a directory")
-        if tmp.is_dir():
-            raise ValueError(f"--out: cannot write {args.out}: its temporary file {tmp} is a directory")
         checkpoint = args.checkpoint and Path(args.checkpoint).resolve()
         if out.resolve() == checkpoint:
             raise ValueError(

@@ -245,6 +245,20 @@ def _temporary(path: Path) -> Path:
     return path.with_name(path.name + ".tmp")
 
 
+def _check_writable(path: str | Path, prefix: str) -> None:
+    """Refuse, as ``prefix: problem``, a path that ``_write_atomically`` cannot write:
+    a directory, a path whose parent is not a directory, or one whose temporary
+    file is a directory."""
+    path = Path(path)
+    if path.is_dir():
+        raise ValueError(f"{prefix}: it is a directory")
+    if not path.parent.is_dir():
+        raise ValueError(f"{prefix}: {path.parent} is not a directory")
+    tmp = _temporary(path)
+    if tmp.is_dir():
+        raise ValueError(f"{prefix}: its temporary file {tmp} is a directory")
+
+
 def _write_atomically(path: str | Path, text: str) -> None:
     """Write to a temp file in the same directory, sync it, then rename it over ``path``."""
     path = Path(path)
@@ -254,6 +268,22 @@ def _write_atomically(path: str | Path, text: str) -> None:
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
+
+
+def _histogram_checks(histogram: dict[int, int], classes: int) -> list[tuple[str, bool, str]]:
+    """The self-checks of a histogram of ``classes`` classes, as (label, passed,
+    detail): it totals them, and every f is even."""
+    surveyed = sum(histogram.values())
+    odd = sorted(f for f in histogram if f % 2)
+    return [
+        ("histogram-total", surveyed == classes, f"{surveyed} classes surveyed of {classes}"),
+        ("histogram-parity", not odd, f"odd f values {odd}" if odd else "all f values even"),
+    ]
+
+
+def _failed(checks: list[tuple[str, bool, str]]) -> str:
+    """The checks that failed, as "label: detail" joined by "; ", or "" if none did."""
+    return "; ".join(f"{label}: {detail}" for label, ok, detail in checks if not ok)
 
 
 def save_checkpoint(path: str | Path, cp: Checkpoint) -> None:
@@ -267,9 +297,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     checkpoint with a class cursor (one with chunk ids is refused), holds a
     cursor that is not an integer of its range or its end, a histogram
     entry that is not a count >= 1 of an integer f, or an alternating f
-    that is not an integer, holds a histogram that does not total the
-    classes below its cursor, or holds an alternating f when class 0 is not
-    counted, or lacks one when it is.
+    that is not an integer, holds a histogram of the classes below its
+    cursor that fails ``_histogram_checks``, or holds an alternating f when
+    class 0 is not counted, or lacks one when it is.
     """
     try:
         data = json.loads(Path(path).read_text())
@@ -298,18 +328,17 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise corrupt(f"histogram entries {bad} are not counts >= 1 of integer f values")
     if alternating is not None and type(alternating) is not int:
         raise corrupt(f"alternating_class_f {alternating!r} is not an integer")
-    surveyed = sum(c for _, c in counts)
-    if surveyed != cursor - lo:
-        raise corrupt(
-            f"histogram counts {surveyed} classes, not the {cursor - lo} of [{lo},{cursor})"
-        )
+    histogram = Counter({int(f): c for f, c in counts})
+    failed = _failed(_histogram_checks(histogram, cursor - lo))
+    if failed:
+        raise corrupt(f"its histogram of the classes [{lo},{cursor}) fails {failed}")
     holds_zero = lo == 0 < cursor
     if (alternating is not None) != holds_zero:
         raise corrupt(
             f"alternating_class_f is {alternating}, but class 0 is "
             f"{'counted' if holds_zero else 'not counted'}"
         )
-    return Checkpoint(meta, cursor, Counter({int(f): c for f, c in counts}), alternating)
+    return Checkpoint(meta, cursor, histogram, alternating)
 
 
 # ---------------------------------------------------------------------------
@@ -544,14 +573,7 @@ def run_survey(cfg: SurveyConfig) -> SurveyResult:
     start = time.perf_counter()
     if cfg.checkpoint_path is not None:
         # checked before counting, so that no count is lost for want of a place to save it
-        path = Path(cfg.checkpoint_path)
-        if not path.parent.is_dir():
-            raise ValueError(f"checkpoint {path}: {path.parent} is not a directory")
-        if path.is_dir():
-            raise ValueError(f"checkpoint {path}: it is a directory")
-        tmp = _temporary(path)
-        if tmp.is_dir():
-            raise ValueError(f"checkpoint {path}: its temporary file {tmp} is a directory")
+        _check_writable(cfg.checkpoint_path, f"checkpoint {Path(cfg.checkpoint_path)}")
     lo, hi = cfg.bounds()
     _, _, first, end = _counted(cfg)
 
@@ -595,13 +617,9 @@ def run_survey(cfg: SurveyConfig) -> SurveyResult:
     scale = (hi - lo) // (end - first)
     hist = {f: c * scale for f, c in checkpoint.partial_histogram.items()}
     alternating_f = checkpoint.alternating_class_f
-    surveyed = sum(hist.values())
-    odd = sorted(f for f in hist if f % 2)
-    if surveyed != hi - lo or odd:
-        raise RuntimeError(
-            f"survey self-check failed: histogram counts {surveyed} classes of "
-            f"{hi - lo}, odd f values {odd}"
-        )
+    failed = _failed(_histogram_checks(hist, hi - lo))
+    if failed:
+        raise RuntimeError(f"survey self-check failed: {failed}")
     max_f = max(hist)
     maximizers = hist[max_f]
     exclude_alt = 1 if (alternating_f is not None and alternating_f == max_f) else 0
@@ -707,23 +725,7 @@ def verify_case(
     result = run_survey(cfg)
     c = result.c.value
 
-    checks: list[tuple[str, bool, str]] = []
-    surveyed = sum(result.histogram.values())
-    checks.append(
-        (
-            "histogram-total",
-            surveyed == result.class_count,
-            f"{surveyed} classes surveyed of {result.class_count}",
-        )
-    )
-    odd = [f for f in result.histogram if f % 2]
-    checks.append(
-        (
-            "histogram-parity",
-            not odd,
-            "all f values even" if not odd else f"odd f values {odd}",
-        )
-    )
+    checks = _histogram_checks(result.histogram, result.class_count)
     if c is not None:
         checks.append(
             (

@@ -19,6 +19,7 @@ import lomlab.survey as survey_module
 import lomlab.travels as travels_module
 from conftest import brute_force_count
 from lomlab.chessboard import class_count, representative_of_index
+from lomlab.cli import main as cli_main
 from lomlab.sign_core import _run_width, violation_table_nbytes
 from lomlab.survey import (
     DEFAULT_CHUNK_SIZE,
@@ -795,7 +796,10 @@ class TestSelfChecks:
         path = tmp_path / "short.ckpt.json"
         cfg = SurveyConfig(4, 7, 1, checkpoint_path=path)
         self.write(path, cfg, 16, {4: 1}, 4)
-        with pytest.raises(CorruptCheckpointError, match="short.ckpt.json.*counts 1 classes"):
+        with pytest.raises(
+            CorruptCheckpointError,
+            match=r"short.ckpt.json.*\[0,16\) fails histogram-total: 1 classes surveyed of 16$",
+        ):
             run_survey(cfg)
 
     # chunks of 4 over [5, 14): chunk 1 holds 5..7, chunk 3 holds 12 and 13;
@@ -809,7 +813,7 @@ class TestSelfChecks:
             self.write(path, cfg, cursor, {2: wrong}, None)
             with pytest.raises(
                 CorruptCheckpointError,
-                match=rf"cut.ckpt.json.*counts {wrong} classes, not the {classes} of \[5,{cursor}\)",
+                match=rf"cut.ckpt.json.*\[5,{cursor}\) fails histogram-total: {wrong} classes surveyed of {classes}$",
             ):
                 load_checkpoint(path)
         self.write(path, cfg, cursor, {2: classes} if classes else {}, None)
@@ -961,12 +965,73 @@ class TestSelfChecks:
         monkeypatch.setattr(survey_module, "_run_chunk", lose_a_class)
         # the whole-space survey of (3,7) takes its count of the prefix 4
         # times, and so the loss; (3,6) counts every class
-        with pytest.raises(RuntimeError, match="counts 60 classes of 64"):
+        with pytest.raises(RuntimeError, match="self-check failed: histogram-total: 60 classes surveyed of 64$"):
             run_survey(SurveyConfig(3, 7, 1))
-        with pytest.raises(RuntimeError, match="counts 15 classes of 16"):
+        with pytest.raises(RuntimeError, match="self-check failed: histogram-total: 15 classes surveyed of 16$"):
             run_survey(SurveyConfig(3, 6, 1))
-        with pytest.raises(RuntimeError, match="counts 15 classes of 16"):
+        with pytest.raises(RuntimeError, match="self-check failed: histogram-total: 15 classes surveyed of 16$"):
             run_survey(SurveyConfig(3, 6, 1, index_range=(0, 16)))
+
+    def test_survey_checks_its_histogram_parity(self, monkeypatch, capsys):
+        # every f of (3,6) is 0 or 2, so one more is 1 or 3
+        real = survey_module._run_chunk
+
+        def one_more(cfg, table, lo, hi):
+            hist, alternating = real(cfg, table, lo, hi)
+            return Counter({f + 1: c for f, c in hist.items()}), alternating
+
+        monkeypatch.setattr(survey_module, "_run_chunk", one_more)
+        with pytest.raises(RuntimeError, match=r"self-check failed: histogram-parity: odd f values \[1, 3\]$"):
+            run_survey(SurveyConfig(3, 6, 1))
+        assert cli_main(["survey", "--rank", "3", "--elements", "6", "--k", "1"]) == 1
+        assert capsys.readouterr().err == "error: survey self-check failed: histogram-parity: odd f values [1, 3]\n"
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_checkpoint_with_an_odd_f_refused_before_counting(self, tmp_path, monkeypatch, capsys, threads):
+        # the first of the 16 default-size chunks of the prefix of (7,11,2):
+        # its histogram totals the cursor, but one f is odd
+        path = tmp_path / "odd.ckpt.json"
+        cfg = SurveyConfig(7, 11, 2, threads=threads, checkpoint_path=path)
+        self.write(path, cfg, 4096, {112: 1, 3: 1, 2: 4094}, 112)
+        written = path.read_bytes()
+        monkeypatch.setattr(survey_module, "_run_chunk", lambda *args: pytest.fail("counted"))
+        monkeypatch.setattr(sign_core, "violation_table", lambda *args: pytest.fail("built"))
+        with pytest.raises(
+            CorruptCheckpointError,
+            match=r"odd.ckpt.json is inconsistent: .*\[0,4096\) fails histogram-parity: odd f values \[3\]$",
+        ):
+            run_survey(cfg)
+        code = cli_main([
+            "survey", "--rank", "7", "--elements", "11", "--k", "2",
+            "--threads", str(threads), "--checkpoint", str(path),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1 and str(path) in err and "histogram-parity" in err
+        assert path.read_bytes() == written
+
+    # (3,6) counts its 16 classes; in each list of batches one starts off the
+    # cursor, which the batches before it leave at ``cursor``
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize(
+        "jobs,bad,cursor",
+        [
+            ([(0, 4), (8, 16)], "[8,16)", 4),
+            ([(0, 4), (4, 8), (12, 16), (8, 12)], "[12,16)", 8),
+            ([(0, 8), (4, 12), (12, 16)], "[4,12)", 8),
+        ],
+        ids=["gap", "swapped", "overlap"],
+    )
+    def test_batch_off_the_cursor_refused(self, tmp_path, monkeypatch, pools, threads, jobs, bad, cursor):
+        path = tmp_path / "order.ckpt.json"
+        cfg = SurveyConfig(3, 6, 1, threads=threads, chunk_size=4, checkpoint_path=path)
+        monkeypatch.setattr(survey_module, "_chunk_jobs", lambda cfg, next_index: jobs)
+        with pytest.raises(RuntimeError, match=rf"^batch {re.escape(bad)} out of order at class {cursor}$"):
+            run_survey(cfg)
+        # the checkpoint keeps the last cursor reached in order, and its histogram
+        loaded = load_checkpoint(path)
+        assert loaded.next_index == cursor
+        assert loaded.partial_histogram == _run_chunk(cfg, _survey_table(cfg, 16), 0, cursor)[0]
+        assert pools == [2] * (threads > 1)
 
     def test_rank_one_rejected(self):
         with pytest.raises(ValueError, match="rank 1"):
