@@ -20,7 +20,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from . import formulas, survey
+from . import formulas, sign_core, survey
 from .chessboard import (
     chessboard_of,
     class_count,
@@ -160,8 +160,7 @@ def _cmd_circuits(args):
 
 
 def _cmd_fcount(args):
-    if args.k < 0:  # checked first: the error is the flag's, not the matrix's
-        raise ValueError(f"k must be non-negative, got k={args.k}")
+    sign_core._require_k(args.k)  # checked first: the error is the flag's, not the matrix's
     A = _load_matrix(args)
     with _naming_matrix(args.matrix):
         f = _FCOUNT_ENGINES[args.engine](A, args.k)

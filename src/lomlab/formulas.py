@@ -72,8 +72,7 @@ def c_closed_form(r: int, n: int, k: int) -> int:
 def c_value(r: int, n: int, k: int) -> CValue:
     """Best available alternating count: closed form, odd-rank special value,
     or the circuits engine's count of the all-plus matrix."""
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got k={k}")
+    sign_core._require_k(k)
     if r < 2 * k + 1:
         raise ValueError(f"need r >= 2k+1, got r={r}, k={k}")
     if n < r + 1:

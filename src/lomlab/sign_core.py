@@ -305,8 +305,7 @@ def is_k_neighborly_circuits(A: SignMatrix, reoriented: Iterable[int], k: int) -
     elements, both the positive and the negative side must keep more than k
     elements.  Exits on the first violating circuit.
     """
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got k={k}")
+    _require_k(k)
     flip = _check_labels(reoriented, A.cols, "element")
     r, n = A.rows, A.cols
     size = r + 1
@@ -521,6 +520,7 @@ def violation_table(r: int, n: int, k: int) -> np.ndarray:
     each support is one circuit for the counting kernel; every other
     pattern is a translate of it.
     """
+    _require_k(k)
     _require_countable(r, n)
     m = min(k + 1, (r + 1) // 2 + 1)
     signed = _half_reorientation_masks(n)
@@ -714,6 +714,11 @@ def _combine_unions(unions: np.ndarray, pairs: np.ndarray, bits: int) -> np.ndar
     return violators
 
 
+def _require_k(k: int) -> None:
+    if k < 0:
+        raise ValueError(f"k must be non-negative, got k={k}")
+
+
 def _require_countable(r: int, n: int) -> None:
     if n < r + 1:
         raise ValueError(f"counting requires n >= r+1 (no circuits at r={r}, n={n})")
@@ -730,8 +735,7 @@ def count_k_neighborly_reorientations(A: SignMatrix, k: int) -> int:
     even because R and its complement reorient to the same circuits up to a
     global sign flip.
     """
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got k={k}")
+    _require_k(k)
     _require_countable(A.rows, A.cols)
     return _count_entries(A.to_array(), k)
 
@@ -819,8 +823,7 @@ def circuits_from_chirotope(T: ChirotopeTable) -> list[SignedCircuit]:
 
 def count_k_neighborly_reorientations_chirotope(T: ChirotopeTable, k: int) -> int:
     """As count_k_neighborly_reorientations, but driven by a chirotope table."""
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got k={k}")
+    _require_k(k)
     r, n = T.rank, T.ground_size
     _require_countable(r, n)
     circuits = circuits_from_chirotope(T)

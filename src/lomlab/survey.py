@@ -91,6 +91,21 @@ class CorruptCheckpointError(RuntimeError):
 # configuration and results
 # ---------------------------------------------------------------------------
 
+def _check_class_space(r: int, n: int, k: int, engine: str) -> None:
+    """Refuse, naming the value, a class space that ``engine`` cannot count:
+    it needs rank >= 2, r+1 <= n <= the engine's limit and k >= 0."""
+    if r < 2:
+        raise ValueError(f"need rank >= 2, got rank {r}")
+    if n < r + 1:
+        raise ValueError(f"need n >= r+1, got r={r}, n={n}")
+    sign_core._require_k(k)
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}, expected one of {ENGINES}")
+    limit = sign_core.MAX_EXHAUSTIVE_ELEMENTS if engine == "circuits" else travels.MAX_MASK_ELEMENTS
+    if n > limit:
+        raise ValueError(f"the {engine} engine counts at most n={limit} elements, got n={n}")
+
+
 @dataclass(frozen=True)
 class SurveyConfig:
     rank: int
@@ -119,26 +134,7 @@ class SurveyConfig:
                     f"index_range must be two integers, got index_range={self.index_range!r}"
                 ) from None
             object.__setattr__(self, "index_range", (lo, hi))
-        if self.rank < 2:
-            raise ValueError(f"survey needs rank >= 2, got rank {self.rank}")
-        if self.elements < self.rank + 1:
-            raise ValueError(
-                f"survey needs n >= r+1, got r={self.rank}, n={self.elements}"
-            )
-        if self.k < 0:
-            raise ValueError(f"k must be non-negative, got k={self.k}")
-        if self.engine not in ENGINES:
-            raise ValueError(f"unknown engine {self.engine!r}, expected one of {ENGINES}")
-        limit = (
-            sign_core.MAX_EXHAUSTIVE_ELEMENTS
-            if self.engine == "circuits"
-            else travels.MAX_MASK_ELEMENTS
-        )
-        if self.elements > limit:
-            raise ValueError(
-                f"the {self.engine} engine surveys at most n={limit} elements, "
-                f"got n={self.elements}"
-            )
+        _check_class_space(self.rank, self.elements, self.k, self.engine)
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
         if self.chunk_size < 1:
@@ -405,16 +401,16 @@ def _run_chunk(
     return hist, alternating_f
 
 
-# Set in each pool worker by _init_worker.  Under the fork start method the
-# workers share the parent's table copy-on-write.  Under spawn or forkserver
-# a table passed in would be pickled and copied into every worker, which
-# costs more than a build, so each worker builds its own from the class count.
+# Set in each pool worker by _init_worker: the table it is handed, else the
+# one _survey_table picks for the class count.  Forked workers share the
+# parent's table copy-on-write.  Under spawn or forkserver the parent builds
+# none, since a table pickled into every worker costs more than a build.
 _WORKER_STATE: tuple[SurveyConfig, np.ndarray | None] | None = None
 
 
-def _init_worker(cfg: SurveyConfig, table: np.ndarray | None, classes: int | None) -> None:
+def _init_worker(cfg: SurveyConfig, table: np.ndarray | None, classes: int) -> None:
     global _WORKER_STATE
-    if classes is not None:
+    if table is None:
         table = _survey_table(cfg, classes)
     _WORKER_STATE = cfg, table
 
@@ -513,17 +509,17 @@ def _counted(cfg: SurveyConfig) -> tuple[int, int, int, int]:
     prefix [0, N/4) with L = 2 where ``_quotient_generators`` allows it,
     one class in 16 standing for its coset: quotient 16.  Every other
     survey, quotient 1, counts each class in its bounds for itself: the
-    circuits engine with L = 1 (L = 0 on the one class of n = r+1), which
-    is exact as f(i) = f(i ^ 1), so that a range of the whole space is the
-    full-space check, and the travels engine with L = 0, so that it stays
-    an independent check.  Checkpoints record the quotient.
+    circuits engine with L = 1, which is exact as f(i) = f(i ^ 1), so that
+    a range of the whole space is the full-space check, and the travels
+    engine with L = 0, so that it stays an independent check.  Checkpoints
+    record the quotient.
     """
     lo, hi = cfg.bounds()
     if cfg.engine != "circuits":
         return 1, 0, lo, hi
     if cfg.index_range is None and _quotient_generators(cfg.rank, cfg.elements) is not None:
         return 16, 2, lo, hi // 4
-    return 1, min(1, cfg.elements - cfg.rank - 1), lo, hi
+    return 1, 1, lo, hi
 
 
 def _chunk_jobs(cfg: SurveyConfig, next_index: int) -> list[tuple[int, int]]:
@@ -609,7 +605,7 @@ def run_survey(cfg: SurveyConfig) -> SurveyResult:
         with multiprocessing.Pool(
             processes=min(cfg.threads, len(jobs)),
             initializer=_init_worker,
-            initargs=(cfg, table, None if in_parent else end - first),
+            initargs=(cfg, table, end - first),
         ) as pool:
             for batch in pool.imap(_worker_chunk, jobs):
                 absorb(*batch)
@@ -859,6 +855,7 @@ def engine_crosscheck(
     r: int, n: int, k: int, sample_size: int, seed: int
 ) -> CrosscheckReport:
     """Compare the circuits and travels engines on sampled class indices."""
+    _check_class_space(r, n, k, "circuits")  # the narrower engine
 
     def mismatches(A: sign_core.SignMatrix) -> Iterator[dict]:
         by_circuits = sign_core.count_k_neighborly_reorientations(A, k)
@@ -877,6 +874,7 @@ def minor_recursion_check(
         raise ValueError(f"minor recursion check needs rank >= 3, got rank {r}")
     if n < r + 2:
         raise ValueError(f"minor recursion check needs n >= r+2, got r={r}, n={n}")
+    _check_class_space(r, n, k, "circuits")
 
     def violations(A: sign_core.SignMatrix) -> Iterator[dict]:
         count = sign_core.count_k_neighborly_reorientations_chirotope

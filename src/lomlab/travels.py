@@ -147,8 +147,6 @@ def is_k_neighborly_matrix(A: SignMatrix, k: int) -> bool:
     Scans subsets by increasing size (all columns allowed, including column 1)
     and exits at the first positive travel found.
     """
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got k={k}")
     return positivizing_set(A, k, range(1, A.cols + 1)) is None
 
 

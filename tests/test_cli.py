@@ -537,6 +537,23 @@ class TestErrorHandling:
             assert code == 1 and out == ""
             assert "samples must be non-negative, got -1" in err
 
+    def test_crosscheck_refuses_a_bad_class_space_before_sampling(self, capsys):
+        for dims, want in (
+            (("4", "7", "-1"), "k must be non-negative, got k=-1"),
+            (("3", "100", "1"), "the circuits engine counts at most n=24 elements, got n=100"),
+        ):
+            r, n, k = dims
+            for extra in ((), ("--minors",)):
+                code, out, err = run_cli(
+                    capsys,
+                    "crosscheck", "--rank", r, "--elements", n, "--k", k, "--samples", "0", *extra,
+                )
+                assert (code, out, err) == (1, "", f"error: {want}\n"), (dims, extra)
+        code, out, err = run_cli(
+            capsys, "crosscheck", "--rank", "1", "--elements", "3", "--k", "0", "--samples", "2"
+        )
+        assert (code, out, err) == (1, "", "error: need rank >= 2, got rank 1\n")
+
     def test_negative_k_names_the_value(self, capsys, tmp_path):
         # the flag's error alone, also on a matrix too small to count
         square = tmp_path / "square.txt"

@@ -16,7 +16,9 @@ from lomlab.sign_core import (
     count_k_neighborly_reorientations_chirotope,
     delete_element,
     is_k_neighborly_circuits,
+    violation_table,
 )
+from lomlab.survey import engine_crosscheck, minor_recursion_check
 from lomlab.travels import (
     PlainTravel,
     bottom_travel,
@@ -122,6 +124,26 @@ CHECKS = {
     "total_plain_travels rank": (
         lambda: total_plain_travels(1, 3),
         "need 2 <= r <= n, got r=1, n=3",
+    ),
+    "violation_table k": (
+        lambda: violation_table(3, 6, -1),
+        "k must be non-negative, got k=-1",
+    ),
+    "crosscheck k": (
+        lambda: engine_crosscheck(3, 5, -1, 0, 0),
+        "k must be non-negative, got k=-1",
+    ),
+    "crosscheck n past the circuits engine's limit": (
+        lambda: engine_crosscheck(3, 100, 1, 0, 0),
+        "the circuits engine counts at most n=24 elements, got n=100",
+    ),
+    "crosscheck rank": (
+        lambda: engine_crosscheck(1, 3, 0, 2, 0),
+        "need rank >= 2, got rank 1",
+    ),
+    "minor recursion check k": (
+        lambda: minor_recursion_check(4, 7, -1, 0, 0),
+        "k must be non-negative, got k=-1",
     ),
 }
 
