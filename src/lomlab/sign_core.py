@@ -346,8 +346,22 @@ def is_k_neighborly_circuits(A: SignMatrix, reoriented: Iterable[int], k: int) -
 @lru_cache(maxsize=64)
 def _mask_context(r: int, n: int) -> np.ndarray:
     """(C(n, r+1), r+1) int64: every circuit support, 0-based columns, in lexicographic order."""
-    flat = itertools.chain.from_iterable(itertools.combinations(range(n), r + 1))
-    return np.fromiter(flat, dtype=np.int64, count=comb(n, r + 1) * (r + 1)).reshape(-1, r + 1)
+    # The s-subsets led by a are a followed by the (s-1)-subsets whose least
+    # element is above a: in lexicographic order, the last C(n-1-a, s-1) of
+    # them.  Level s holds the s-subsets of columns r+1-s..n-1, the possible
+    # last s columns of a support; levels are uint8 up to the int64 result.
+    size = r + 1
+    tail = np.arange(r, n, dtype=np.uint8)[:, None]
+    for s in range(2, size + 1):
+        level = np.empty((comb(n - size + s, s), s), dtype=np.int64 if s == size else np.uint8)
+        row = 0
+        for a in range(size - s, n - s + 1):
+            count = comb(n - 1 - a, s - 1)
+            level[row : row + count, 0] = a
+            level[row : row + count, 1:] = tail[tail.shape[0] - count :]
+            row += count
+        tail = level
+    return tail
 
 
 _BLOCK_BYTES = 128 << 10  # one bit plane of a batch of circuits; one table-row union
@@ -401,16 +415,19 @@ def _circuit_patterns(entries: np.ndarray, supports: np.ndarray) -> np.ndarray:
     dtype = np.uint8 if r <= 8 else np.uint16 if r <= 16 else np.uint32
     # With all entries +1 the circuit signs alternate +,-,+,...  A -1 that
     # step i reads (row i, at j_{i+1} or j_{i+2}) flips the signs at
-    # j_{i+2}..j_{r+1}, which are pattern bits i..r-1.
+    # j_{i+2}..j_{r+1}, which are pattern bits i..r-1.  Support position p
+    # is step p's start and step p-1's end, so flips[p] XORs both rows' flips
+    # and each position is read once; position 0 also carries the base.
     base = sum(1 << (m - 1) for m in range(2, r + 1, 2))
     tails = ((1 << r) - (1 << np.arange(r))).astype(dtype)
-    by_entry = entries.transpose(1, 2, 0)
-    flips = np.where(by_entry < 0, tails[:, None, None], dtype(0)).reshape(r * n, -1)
-    patterns = np.full((supports.shape[0], flips.shape[1]), base, dtype=dtype)
-    rows_at = np.arange(r) * n
-    for ends in (supports[:, :-1], supports[:, 1:]):
-        for index in (rows_at + ends).T:  # row i at one end of step i
-            patterns ^= flips[index]
+    step = np.where(entries.transpose(1, 2, 0) < 0, tails[:, None, None], dtype(0))
+    flips = np.zeros((r + 1,) + step.shape[1:], dtype=dtype)  # (r+1, n, B)
+    flips[:-1] = step
+    flips[1:] ^= step
+    flips[0] ^= dtype(base)
+    patterns = flips[0][supports[:, 0]]
+    for p in range(1, r + 1):
+        patterns ^= flips[p][supports[:, p]]
     return patterns
 
 

@@ -1,7 +1,8 @@
 """The library API that the benchmark's workloads read, checked with the
-library's own tests: each workload of perfbench/workloads.py runs one pass at
-its quick shapes and passes its own checks.  perfbench/test_perfbench.py runs
-the whole benchmark; this catches a renamed function or report field sooner.
+library's own tests: each workload of perfbench/workloads.py warms up, runs
+one pass at its quick shapes and passes its own checks.
+perfbench/test_perfbench.py runs the whole benchmark; this catches a renamed
+function or report field sooner.
 """
 
 import importlib.util
@@ -29,6 +30,7 @@ workloads = _load_workloads()
 def test_workload_passes_its_checks(name, tmp_path):
     wl = workloads.WORKLOADS[name](0, workloads.QUICK, tmp_path)
     try:
+        wl.warm()  # the set-up probe's step, which reaches into lomlab's private caches
         outputs = wl.prepare()
         outputs += [(label, workloads.attempt(call)) for label, call in wl.pass_steps(0)]
         outputs += wl.post()

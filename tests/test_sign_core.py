@@ -518,6 +518,50 @@ def first_stage(width):
         yield
 
 
+class TestSupportsAndPatterns:
+    """The support lists and sign patterns every count is built on."""
+
+    # the violation table's support axis and popcount_table read supports in
+    # itertools order
+    def test_supports_are_the_lexicographic_combinations(self):
+        shapes = [(r, n) for n in range(2, 17) for r in range(1, n)] + [(7, 20), (4, 24)]
+        for r, n in shapes:
+            supports = sign_core._mask_context.__wrapped__(r, n)  # a fresh build
+            want = np.array(list(combinations(range(n), r + 1)), dtype=np.int64)
+            assert supports.dtype == np.int64 and supports.shape == want.shape, (r, n)
+            assert np.array_equal(supports, want), (r, n)
+
+    # the build reads about 1.05x; int64 levels below the last would read 1.35-1.45x
+    @pytest.mark.parametrize("r,n", [(7, 16), (7, 20)])
+    def test_support_build_holds_little_beyond_its_result(self, r, n):
+        tracemalloc.start()
+        try:
+            supports = sign_core._mask_context.__wrapped__(r, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * supports.nbytes
+
+    # uint8 patterns at r = 2 and 8, uint16 at 9, uint32 at 17
+    @pytest.mark.parametrize(
+        "r,n,dtype", [(2, 6, np.uint8), (8, 11, np.uint8), (9, 12, np.uint16), (17, 19, np.uint32)]
+    )
+    def test_batched_patterns_are_the_circuit_signs(self, r, n, dtype):
+        rng = random.Random(r)
+        batch = representative_entries(r, n, [rng.randrange(class_count(r, n)) for _ in range(9)])
+        supports = sign_core._mask_context(r, n)
+        want = np.array(
+            [
+                [sum(1 << i for i, s in enumerate(c.signs[1:]) if s > 0) for c in all_circuits(A)]
+                for A in (SignMatrix.from_array(entries) for entries in batch)
+            ]
+        ).T
+        for entries in (batch, np.ascontiguousarray(batch)):  # batch axis contiguous, then last
+            patterns = sign_core._circuit_patterns(entries, supports)
+            assert patterns.dtype == dtype
+            assert np.array_equal(patterns, want)
+
+
 class TestBitSlicedKernel:
     """The 64-half-masks-per-word count against the brute-force oracles and the
     travels engine, which share no code with it, and against the chirotope route."""
